@@ -24,12 +24,11 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use mp::{MpWorld, RecvSpec};
 use parallel::{Ctx, SchedPolicy, Team};
 use sas::{SasSlice, SasWorld};
 
-use crate::amr_common::{partition_active, AmrConfig, ReplicatedMesh};
+use crate::amr_common::{AmrConfig, AmrPlan, AmrState};
 use crate::metrics::{App, Model, RunMetrics};
 use crate::workcost as W;
 
@@ -53,19 +52,13 @@ pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPoli
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let mp = MpWorld::new(Arc::clone(&machine));
     let sas = SasWorld::new(Arc::clone(&machine));
+    let plan = AmrPlan::build(cfg, Some(machine.topology.nodes()));
     let team = opts.configure(Team::new(Arc::clone(&machine)).seed(cfg.seed));
-    let run = team.run(|ctx| pe_main(ctx, &mp, &sas, cfg));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Hybrid, &run, size)
+    let run = team.run(|ctx| pe_main(ctx, &mp, &sas, cfg, &plan));
+    RunMetrics::collect(App::Amr, Model::Hybrid, &run, plan.final_active())
 }
 
-fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 {
+fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig, plan: &AmrPlan) -> f64 {
     let topo = ctx.machine().topology.clone();
     let nnodes = topo.nodes();
     let my_node = topo.node_of(ctx.pe());
@@ -74,7 +67,7 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
     let is_leader = ctx.pe() == leader;
     let cap = cfg.tri_capacity();
     let mut pe = sas.pe();
-    let mut state = ReplicatedMesh::new(cfg);
+    let mut state = AmrState::new(plan);
 
     // Per-node field copies, id-indexed within each copy: node n's value
     // for triangle t lives at n*cap + t. Only node n's PEs ever touch that
@@ -98,29 +91,26 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
     ctx.barrier();
 
     // Node-level ownership by triangle id, replicated.
-    let mut owner = vec![0u32; state.mesh.num_tris_total()];
+    let mut owner = vec![0u32; state.num_tris_total()];
     {
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units(
             (dual.len() / ctx.npes() + 1) as u64,
             W::PARTITION_PER_TRI_NS,
         );
-        let (parts, _) = partition_active(&dual, &vec![0; dual.len()], nnodes, false);
+        let (parts, _) = state.partition(&vec![0; dual.len()]);
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
     }
 
-    for step in 0..cfg.steps {
+    for _ in 0..cfg.steps {
         // (1) Remesh — shared memory keeps the field consistent, so no
         // gather/broadcast phase exists in the hybrid (as in pure SAS).
         ctx.net_phase("adapt");
-        let before = state.mesh.num_tris_total();
-        let stats = state.adapt(cfg, step);
-        assert!(
-            state.mesh.num_tris_total() <= cap,
-            "triangle capacity exceeded"
-        );
+        let before = state.num_tris_total();
+        let stats = state.adapt();
+        assert!(state.num_tris_total() <= cap, "triangle capacity exceeded");
         ctx.compute_units(
             (stats.marked_scan / ctx.npes() + 1) as u64,
             W::MARK_PER_TRI_NS,
@@ -129,15 +119,15 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
             (stats.new_tris / ctx.npes() + 1) as u64,
             W::ADAPT_PER_TRI_NS,
         );
-        for t in owner.len()..state.mesh.num_tris_total() {
-            let parent = state.mesh.parent_of(t as u32).expect("has parent");
+        for t in owner.len()..state.num_tris_total() {
+            let parent = state.parent_of(t);
             let o = owner[parent as usize];
             owner.push(o);
         }
         // New triangles inherit parent values. Hybrid discipline: only the
         // owning node's PEs touch a triangle's entry, so first-touch homing
         // and invalidation traffic stay node-local.
-        let after = state.mesh.num_tris_total();
+        let after = state.num_tris_total();
         let (p, me) = (ctx.npes(), ctx.pe());
         let rank_in_node = my_node_pes.iter().position(|&q| q == me).expect("member");
         let k = my_node_pes.len();
@@ -149,7 +139,7 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
         for &t in &my_new[lo..hi] {
             // Child and parent share an owner by construction, so the
             // parent's value is in this node's copy.
-            let parent = state.mesh.parent_of(t as u32).expect("has parent");
+            let parent = state.parent_of(t);
             let v = pe.read(ctx, &vals, my_base + parent as usize);
             pe.write(ctx, &vals, my_base + t, v);
         }
@@ -157,15 +147,15 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
 
         // (2) Node-level repartition + remap.
         ctx.net_phase("remap");
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
-        let (parts, _) = partition_active(&dual, &inherited, nnodes, cfg.use_remap);
+        let (parts, _) = state.partition(&inherited);
         // Explicit migration: leaders ship the state of triangles that
         // changed node, old owner's copy → new owner's copy.
         let mut migr_out: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nnodes];
         let mut migr_in: Vec<usize> = vec![0; nnodes];
-        for (i, (&o, &n)) in inherited.iter().zip(&parts).enumerate() {
+        for (i, (&o, &n)) in inherited.iter().zip(parts).enumerate() {
             let (o, n) = (o as usize, n as usize);
             if o != n {
                 if o == my_node && is_leader {
@@ -325,7 +315,6 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
     let total = if ctx.pe() == 0 {
         // Measurement: read each triangle from its owner node's copy.
         state
-            .mesh
             .active_tris()
             .iter()
             .map(|&t| vals.read_raw(owner[t as usize] as usize * cap + t as usize))

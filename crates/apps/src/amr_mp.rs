@@ -11,15 +11,10 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use mp::MpWorld;
 use parallel::{Ctx, SchedPolicy, Team};
-use partition::rcb_partition;
-use partition::WeightedPoint;
 
-use crate::amr_common::{
-    decode_step_state, encode_step_state, partition_active, AmrConfig, ReplicatedMesh,
-};
+use crate::amr_common::{decode_step_state, encode_step_state, AmrConfig, AmrPlan, AmrState};
 use crate::metrics::{App, Model, RunMetrics};
 // snap:begin
 use crate::snapshot::Snapshotter;
@@ -43,58 +38,55 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
     // snap:end
+    let plan = AmrPlan::build(cfg, Some(machine.pes()));
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| rank_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Mp, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        rank_main(ctx, &world, cfg, &plan, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Mp, &run, plan.final_active())
 }
 
-fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn rank_main(
+    ctx: &mut Ctx,
+    w: &MpWorld,
+    cfg: &AmrConfig,
+    plan: &AmrPlan,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
 
     // snap:begin — warm start: the mesh topology is a pure function of the
-    // config and the step count, so replay the adaptation host-side (zero
-    // virtual-time charges — the restored clocks already paid for it),
-    // then overlay the captured field and ownership map.
+    // config and the step count, so move the plan cursor to the step
+    // host-side (zero virtual-time charges — the restored clocks already
+    // paid for it), then overlay the captured field and ownership map.
     let (start, mut state, mut owner) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
-        for s in 0..at as usize {
-            state.adapt(cfg, s);
+        let mut state = AmrState::new(plan);
+        for _ in 0..at {
+            state.adapt();
         }
         let (field, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
         assert_eq!(
             field.len(),
-            state.mesh.num_tris_total(),
+            state.num_tris_total(),
             "snapshot/config mismatch"
         );
         assert_eq!(
             owner.len(),
-            state.mesh.num_tris_total(),
+            state.num_tris_total(),
             "snapshot/config mismatch"
         );
         state.field = field;
         (at as usize, state, owner)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = AmrState::new(plan);
 
         // Initial ownership: RCB over the base mesh, replicated.
-        let mut owner = vec![0u32; state.mesh.num_tris_total()];
-        let dual = dual_graph(&state.mesh);
+        let mut owner = vec![0u32; state.num_tris_total()];
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
-        let pts: Vec<WeightedPoint> = dual
-            .centroids
-            .iter()
-            .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
-            .collect();
-        let parts = rcb_partition(&pts, p);
+        let (parts, _) = state.partition(&vec![0; dual.len()]);
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
@@ -126,11 +118,11 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) ->
 
         // (2) Remesh (replicated metadata, distributed charge).
         ctx.net_phase("adapt");
-        let stats = state.adapt(cfg, step);
+        let stats = state.adapt();
         ctx.compute_units((stats.marked_scan / p + 1) as u64, W::MARK_PER_TRI_NS);
         ctx.compute_units((stats.new_tris / p + 1) as u64, W::ADAPT_PER_TRI_NS);
-        for t in owner.len()..state.mesh.num_tris_total() {
-            let parent = state.mesh.parent_of(t as u32).expect("has parent");
+        for t in owner.len()..state.num_tris_total() {
+            let parent = state.parent_of(t);
             let o = owner[parent as usize];
             owner.push(o);
         }
@@ -138,19 +130,19 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) ->
 
         // (3) Repartition + PLUM remap + migration.
         ctx.net_phase("remap");
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
-        let (parts, _mv) = partition_active(&dual, &inherited, p, cfg.use_remap);
+        let (parts, _mv) = state.partition(&inherited);
         let moved_out = inherited
             .iter()
-            .zip(&parts)
+            .zip(parts)
             .filter(|(&o, &n)| o as usize == me && n as usize != me)
             .count();
         ctx.compute_units(moved_out as u64, W::MIGRATE_PER_TRI_NS);
         // Migrate element state to new owners (connectivity + value).
         let mut migr: Vec<Vec<(u64, [f64; 8])>> = vec![Vec::new(); p];
-        for (i, (&o, &n)) in inherited.iter().zip(&parts).enumerate() {
+        for (i, (&o, &n)) in inherited.iter().zip(parts).enumerate() {
             if o as usize == me && n as usize != me {
                 let t = dual.tris[i];
                 let mut payload = [0.0; 8];
@@ -234,10 +226,9 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) ->
 }
 
 /// Gather owned active values at rank 0 and rebroadcast the full field.
-fn sync_field(ctx: &mut Ctx, w: &MpWorld, state: &mut ReplicatedMesh, owner: &[u32]) {
+fn sync_field(ctx: &mut Ctx, w: &MpWorld, state: &mut AmrState, owner: &[u32]) {
     let me = ctx.pe();
     let mine: Vec<(u64, f64)> = state
-        .mesh
         .active_tris()
         .iter()
         .filter(|&&t| owner[t as usize] as usize == me)

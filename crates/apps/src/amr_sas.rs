@@ -11,11 +11,10 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use parallel::{Ctx, SchedPolicy, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
-use crate::amr_common::{AmrConfig, ReplicatedMesh};
+use crate::amr_common::{AmrConfig, AmrPlan, AmrState};
 use crate::metrics::{App, Model, RunMetrics};
 use crate::workcost as W;
 
@@ -25,7 +24,8 @@ use o2k_snap::wire::{WireReader, WireWriter};
 
 /// Serialise one PE's SAS locals at a step boundary: just the private
 /// cache (the shared field, directory, and page homes travel in the world
-/// section; the replicated mesh is replayed from the config on restore).
+/// section; the replicated mesh is read back from the run's plan on
+/// restore).
 fn encode_sas_state(step: u64, pe: &sas::SasPe) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.u64(step);
@@ -83,19 +83,21 @@ pub fn run_with_opts(
     );
     snap.import_world(|b| world.import_state_bytes(b));
     // snap:end
+    let plan = AmrPlan::build(cfg, None);
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| pe_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Sas, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        pe_main(ctx, &world, cfg, &plan, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Sas, &run, plan.final_active())
 }
 
-fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn pe_main(
+    ctx: &mut Ctx,
+    w: &SasWorld,
+    cfg: &AmrConfig,
+    plan: &AmrPlan,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
     let cap = cfg.tri_capacity();
@@ -104,12 +106,12 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
 
     // snap:begin — warm start: the shared field, page homes, and directory
     // came back through the world import; attach to the regions in
-    // allocation order, reload this PE's private cache, and replay the
-    // deterministic adaptation to rebuild the replicated mesh.
+    // allocation order, reload this PE's private cache, and move the plan
+    // cursor to the step to rebuild the replicated mesh.
     let (start, mut state, field, cursors) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
-        for s in 0..at as usize {
-            state.adapt(cfg, s);
+        let mut state = AmrState::new(plan);
+        for _ in 0..at {
+            state.adapt();
         }
         let field: SasSlice<f64> = w.attach(ctx, cap);
         let cursors: SasSlice<u64> = w.attach(ctx, cfg.steps * cfg.sweeps + 1);
@@ -119,7 +121,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         (at as usize, state, field, cursors)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = AmrState::new(plan);
 
         // The shared field, indexed by triangle id. Pages are homed by
         // genuine first touch: owners touch their own blocks first during
@@ -155,23 +157,20 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         // (1) Remesh: replicated metadata, distributed charge. No field
         // synchronisation is needed — shared memory is always consistent.
         ctx.net_phase("adapt");
-        let before = state.mesh.num_tris_total();
-        let stats = state.adapt(cfg, step);
-        assert!(
-            state.mesh.num_tris_total() <= cap,
-            "triangle capacity exceeded"
-        );
+        let before = state.num_tris_total();
+        let stats = state.adapt();
+        assert!(state.num_tris_total() <= cap, "triangle capacity exceeded");
         ctx.compute_units((stats.marked_scan / p + 1) as u64, W::MARK_PER_TRI_NS);
         ctx.compute_units((stats.new_tris / p + 1) as u64, W::ADAPT_PER_TRI_NS);
         w.barrier(ctx);
 
         // New triangles inherit the parent's (shared, current) value; the
         // new-id range is split across PEs.
-        let after = state.mesh.num_tris_total();
+        let after = state.num_tris_total();
         let new_lo = before + (after - before) * me / p;
         let new_hi = before + (after - before) * (me + 1) / p;
         for t in new_lo..new_hi {
-            let parent = state.mesh.parent_of(t as u32).expect("has parent");
+            let parent = state.parent_of(t);
             let v = pe.read(ctx, &field, parent as usize);
             pe.write(ctx, &field, t, v);
         }
@@ -180,7 +179,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         // (2) Ownership is a block of the active list — no partitioner, no
         // remap, no migration. (Under self-scheduling the block is only
         // used for inheritance; sweep work is claimed dynamically.)
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         let n_active = dual.len();
         let my: Vec<usize> = (me * n_active / p..(me + 1) * n_active / p).collect();
 
@@ -248,7 +247,6 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
     w.barrier(ctx);
     let total = if me == 0 {
         state
-            .mesh
             .active_tris()
             .iter()
             .map(|&t| field.read_raw(t as usize))

@@ -14,15 +14,10 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use parallel::{Ctx, SchedPolicy, Team};
-use partition::rcb_partition;
-use partition::WeightedPoint;
 use shmem::{SymSlice, SymWorld};
 
-use crate::amr_common::{
-    decode_step_state, encode_step_state, partition_active, AmrConfig, ReplicatedMesh,
-};
+use crate::amr_common::{decode_step_state, encode_step_state, AmrConfig, AmrPlan, AmrState};
 use crate::metrics::{App, Model, RunMetrics};
 // snap:begin
 use crate::snapshot::Snapshotter;
@@ -47,45 +42,43 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
     // snap:end
+    let plan = AmrPlan::build(cfg, Some(machine.pes()));
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| pe_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Shmem, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        pe_main(ctx, &world, cfg, &plan, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Shmem, &run, plan.final_active())
 }
 
-fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn pe_main(
+    ctx: &mut Ctx,
+    w: &SymWorld,
+    cfg: &AmrConfig,
+    plan: &AmrPlan,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
     let cap = cfg.tri_capacity();
 
     // snap:begin — warm start: attach to the imported symmetric heap (the
-    // field mirror's cells were restored bitwise), replay the deterministic
-    // adaptation to rebuild the mesh, and overlay the captured replica and
-    // ownership map. No virtual-time charges — the restored clocks already
-    // include the prologue.
+    // field mirror's cells were restored bitwise), move the plan cursor to
+    // the step, and overlay the captured replica and ownership map. No
+    // virtual-time charges — the restored clocks already include the
+    // prologue.
     let (start, mut state, mut owner, field) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
-        for s in 0..at as usize {
-            state.adapt(cfg, s);
+        let mut state = AmrState::new(plan);
+        for _ in 0..at {
+            state.adapt();
         }
         let (f, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
-        assert_eq!(
-            f.len(),
-            state.mesh.num_tris_total(),
-            "snapshot/config mismatch"
-        );
+        assert_eq!(f.len(), state.num_tris_total(), "snapshot/config mismatch");
         state.field = f;
         let field: SymSlice<f64> = w.attach(ctx, cap);
         (at as usize, state, owner, field)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = AmrState::new(plan);
 
         // Symmetric field mirror, indexed by triangle id.
         let field: SymSlice<f64> = w.alloc(ctx, cap);
@@ -94,15 +87,10 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         }
 
         // Initial ownership: RCB over the base mesh, replicated.
-        let mut owner = vec![0u32; state.mesh.num_tris_total()];
-        let dual = dual_graph(&state.mesh);
+        let mut owner = vec![0u32; state.num_tris_total()];
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
-        let pts: Vec<WeightedPoint> = dual
-            .centroids
-            .iter()
-            .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
-            .collect();
-        let parts = rcb_partition(&pts, p);
+        let (parts, _) = state.partition(&vec![0; dual.len()]);
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
@@ -131,15 +119,12 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
 
         // (2) Remesh (replicated metadata, distributed charge).
         ctx.net_phase("adapt");
-        let stats = state.adapt(cfg, step);
-        assert!(
-            state.mesh.num_tris_total() <= cap,
-            "triangle capacity exceeded"
-        );
+        let stats = state.adapt();
+        assert!(state.num_tris_total() <= cap, "triangle capacity exceeded");
         ctx.compute_units((stats.marked_scan / p + 1) as u64, W::MARK_PER_TRI_NS);
         ctx.compute_units((stats.new_tris / p + 1) as u64, W::ADAPT_PER_TRI_NS);
-        for t in owner.len()..state.mesh.num_tris_total() {
-            let parent = state.mesh.parent_of(t as u32).expect("has parent");
+        for t in owner.len()..state.num_tris_total() {
+            let parent = state.parent_of(t);
             let o = owner[parent as usize];
             owner.push(o);
         }
@@ -153,13 +138,13 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         // bookkeeping here because the sync already placed every value in
         // every instance — but the pack/unpack work is still charged.
         ctx.net_phase("remap");
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
-        let (parts, _mv) = partition_active(&dual, &inherited, p, cfg.use_remap);
+        let (parts, _mv) = state.partition(&inherited);
         let moved_out = inherited
             .iter()
-            .zip(&parts)
+            .zip(parts)
             .filter(|(&o, &n)| o as usize == me && n as usize != me)
             .count();
         ctx.compute_units(moved_out as u64, W::MIGRATE_PER_TRI_NS);
@@ -217,7 +202,7 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
             w.barrier_all(ctx);
         }
         // Refresh the replica from my instance for the next adaptation.
-        for &t in &state.mesh.active_tris() {
+        for &t in state.active_tris() {
             if owner[t as usize] as usize == me {
                 state.field[t as usize] = field.read_local1(ctx, t as usize);
             }
@@ -237,11 +222,11 @@ fn sync_field(
     ctx: &mut Ctx,
     w: &SymWorld,
     field: &SymSlice<f64>,
-    state: &mut ReplicatedMesh,
+    state: &mut AmrState,
     owner: &[u32],
 ) {
     let me = ctx.pe();
-    for &t in &state.mesh.active_tris() {
+    for &t in state.active_tris() {
         if owner[t as usize] as usize == me {
             let v = state.field[t as usize];
             if me == 0 {
@@ -252,7 +237,7 @@ fn sync_field(
         }
     }
     w.barrier_all(ctx);
-    let total = state.mesh.num_tris_total();
+    let total = state.num_tris_total();
     field.broadcast(ctx, 0, 0, total);
     for t in 0..total {
         state.field[t] = field.read_local1(ctx, t);

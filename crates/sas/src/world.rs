@@ -289,6 +289,7 @@ impl SasWorld {
         SasPe {
             machine: Arc::clone(&self.machine),
             cache: CacheSim::new(cfg.cache_bytes, cfg.line_bytes, cfg.cache_assoc),
+            accesses: 0,
         }
     }
 
@@ -537,9 +538,34 @@ impl<T: Element> SasSlice<T> {
 pub struct SasPe {
     machine: Arc<Machine>,
     cache: CacheSim,
+    /// Line accesses made through this window.
+    accesses: u64,
+}
+
+/// How one line access is classified. Every access gets exactly one
+/// outcome, so `cache_hits + upgrades + misses_local + misses_remote`
+/// counts accesses even where the interleaving decides which outcome a
+/// given access gets (a write finds its line shared or already owned).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Hit,
+    Upgrade,
+    MissLocal,
+    MissRemote,
+}
+
+/// The counters that classify accesses, summed.
+fn classified(c: &machine::Counters) -> u64 {
+    c.cache_hits + c.upgrades + c.misses_local + c.misses_remote
 }
 
 impl SasPe {
+    /// Line accesses made through this window: each is counted as exactly
+    /// one of a hit, an upgrade, a local miss or a remote miss.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
     /// (hits, misses) seen by this PE's cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -655,8 +681,8 @@ impl SasPe {
         self.access_line(ctx, r, r.line_of(word), word, class);
     }
 
-    /// The heart of the model: classify one line access as hit / upgrade /
-    /// local miss / remote miss, charge it, and update coherence state.
+    /// One line access: run it through the coherence model and count its
+    /// outcome, once.
     fn access_line(
         &mut self,
         ctx: &mut Ctx,
@@ -665,6 +691,33 @@ impl SasPe {
         word: usize,
         class: AccessClass,
     ) {
+        let before = classified(ctx.counters());
+        let outcome = self.coherence(ctx, r, line, word, class);
+        let c = ctx.counters_mut();
+        match outcome {
+            Outcome::Hit => c.cache_hits += 1,
+            Outcome::Upgrade => c.upgrades += 1,
+            Outcome::MissLocal => c.misses_local += 1,
+            Outcome::MissRemote => c.misses_remote += 1,
+        }
+        self.accesses += 1;
+        debug_assert_eq!(
+            classified(ctx.counters()),
+            before + 1,
+            "a line access must be classified exactly once"
+        );
+    }
+
+    /// The heart of the model: classify one line access as hit / upgrade /
+    /// local miss / remote miss, charge it, and update coherence state.
+    fn coherence(
+        &mut self,
+        ctx: &mut Ctx,
+        r: &RegionData,
+        line: usize,
+        word: usize,
+        class: AccessClass,
+    ) -> Outcome {
         // Coherence events are scheduler yield points: under a cooperative
         // policy the virtual-time order (not the host scheduler) decides
         // every directory race, including first-touch page claims.
@@ -691,12 +744,10 @@ impl SasPe {
         if let Probe::Hit { version, dirty } = probe {
             let meta = l.meta.load(Ordering::Acquire);
             if !write && meta >> 17 == version {
-                ctx.counters_mut().cache_hits += 1;
-                return;
+                return Outcome::Hit;
             }
             if write && dirty && meta == pack_meta(version, pe as u32, true) {
-                ctx.counters_mut().cache_hits += 1;
-                return;
+                return Outcome::Hit;
             }
         }
 
@@ -719,13 +770,15 @@ impl SasPe {
 
         if cached && !write {
             // Raced to the slow path but the copy is current.
-            ctx.counters_mut().cache_hits += 1;
-            return;
+            return Outcome::Hit;
         }
 
         let mut charge_local = 0u64;
         let mut charge_remote = 0u64;
         let mut fill_home: Option<u32> = None;
+        // A write to a current copy is an upgrade; without one, the fill
+        // below makes it a miss.
+        let mut outcome = Outcome::Upgrade;
         // Everything from the sched_point above to the advances below is
         // one scheduling window: the fill, the owner forward and the whole
         // invalidation sweep queue onto a single ChargeRun and hit the
@@ -745,13 +798,13 @@ impl SasPe {
                 // node's shared memory bus — the resource every CPU of a
                 // fat SMP node funnels through.
                 charge_local += fill + ctx.net_delay_local(cfg.line_bytes);
-                ctx.counters_mut().misses_local += 1;
+                outcome = Outcome::MissLocal;
             } else {
                 // Under ContentionMode::Queued the line payload also queues
                 // on the fabric links between home and requester.
                 charge_remote += fill;
                 net.to_node(home, cfg.line_bytes);
-                ctx.counters_mut().misses_remote += 1;
+                outcome = Outcome::MissRemote;
             }
             if d.dirty && d.owner != pe as u32 {
                 // Cache-to-cache forward from the current owner.
@@ -780,7 +833,6 @@ impl SasPe {
             });
             ctx.counters_mut().invalidations += u64::from(invalidated);
             if cached {
-                ctx.counters_mut().upgrades += 1;
                 charge_remote += cfg.lat_directory;
             }
             d.version += 1;
@@ -829,6 +881,7 @@ impl SasPe {
                 );
             }
         }
+        outcome
     }
 
     fn home_node(&self, r: &RegionData, line: usize, my_node: usize) -> usize {
@@ -879,6 +932,35 @@ mod tests {
             pe.read(ctx, &s, 5)
         });
         assert_eq!(run.results, vec![2.5, 2.5]);
+    }
+
+    #[test]
+    fn every_access_is_classified_exactly_once() {
+        // Writers contend for the same lines under free-running threads, so
+        // whether a write upgrades a shared copy or misses is up to the
+        // interleaving; the classified total must still equal the accesses.
+        for policy in [parallel::SchedPolicy::Os, parallel::SchedPolicy::Det] {
+            let (w, t) = setup(4);
+            let run = t.sched(policy).run(|ctx| {
+                let s = w.alloc::<u64>(ctx, 64);
+                let mut pe = w.pe();
+                for i in 0..200 {
+                    let idx = (i * 7 + ctx.pe()) % 64;
+                    let v = pe.read(ctx, &s, idx);
+                    pe.write(ctx, &s, idx, v + 1);
+                    pe.fadd(ctx, &s, i % 3, 1);
+                }
+                let c = ctx.counters();
+                (
+                    c.cache_hits + c.upgrades + c.misses_local + c.misses_remote,
+                    pe.accesses(),
+                )
+            });
+            for (counted, accesses) in run.results {
+                assert_eq!(accesses, 600);
+                assert_eq!(counted, accesses, "{policy:?}");
+            }
+        }
     }
 
     #[test]

@@ -41,9 +41,9 @@ const T2_LOC: [(&str, &str, usize); 6] = [
 const T2_NBODY_MP: usize = 141;
 const T2_NBODY_SHMEM: usize = 213;
 const T2_NBODY_SAS: usize = 163;
-const T2_AMR_MP: usize = 174;
-const T2_AMR_SHMEM: usize = 171;
-const T2_AMR_SAS: usize = 138;
+const T2_AMR_MP: usize = 165;
+const T2_AMR_SHMEM: usize = 160;
+const T2_AMR_SAS: usize = 135;
 
 #[test]
 fn t2_effort_line_counts_are_pinned() {
