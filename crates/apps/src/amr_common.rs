@@ -13,6 +13,8 @@ use mesh::dual::{dual_graph, DualGraph};
 use mesh::indicator::{mark, Marking, Shock};
 use partition::{imbalance, rcb_partition, remap_labels, MoveStats, WeightedPoint};
 
+use crate::snapshot::Snapshotter;
+
 /// AMR run parameters.
 #[derive(Debug, Clone)]
 pub struct AmrConfig {
@@ -169,7 +171,8 @@ pub struct Repartition {
 /// The mesh after some number of adaptation steps, as PEs read it.
 #[derive(Debug, Clone)]
 pub struct PlanLevel {
-    /// What the step that produced this level did (zero for the base mesh).
+    /// What the step that produced this level did (zero for the plan's
+    /// first level).
     pub stats: AdaptStats,
     /// Triangles ever created so far (ids are never reused).
     pub num_tris: usize,
@@ -178,6 +181,38 @@ pub struct PlanLevel {
     pub dual: DualGraph,
     /// The repartition at this level, when the plan partitions.
     pub repart: Option<Repartition>,
+}
+
+/// Where a restored run's [`AmrPlan`] starts: the step gate the snapshot
+/// was captured at, and the replicated ownership map at that step (empty
+/// when the plan does not partition).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanStart {
+    /// Adaptation steps taken at the captured gate.
+    pub step: usize,
+    /// Owner of every triangle created so far, by triangle id.
+    pub owner: Vec<u32>,
+}
+
+impl PlanStart {
+    /// The `step` gate a run restores from, without owners (for plans
+    /// built without parts); `None` for a from-scratch run.
+    pub(crate) fn at_gate(snap: &Snapshotter) -> Option<PlanStart> {
+        snap.resume_index("step").map(|at| PlanStart {
+            step: at as usize,
+            owner: Vec::new(),
+        })
+    }
+
+    /// [`Self::at_gate`] seeded with the ownership map PE 0 captured in its
+    /// [`encode_step_state`] payload. The map is replicated, so every PE's
+    /// is the same.
+    pub(crate) fn with_owners(snap: &Snapshotter) -> Option<PlanStart> {
+        let mut start = Self::at_gate(snap)?;
+        let payload = snap.payload(0).expect("resume payload");
+        start.owner = decode_step_state(payload, start.step as u64).1;
+        Some(start)
+    }
 }
 
 /// The whole replicated AMR sequence of one run, computed once on the host
@@ -190,12 +225,16 @@ pub struct PlanLevel {
 /// full virtual-time charges for the replicated work.
 #[derive(Debug)]
 pub struct AmrPlan {
-    /// Field on the base mesh: the centroid x of each base triangle.
-    base_field: Vec<f64>,
+    /// Adaptation steps before the first level: 0, or the captured step
+    /// of a restored run.
+    start: usize,
+    /// Field at the first level: the centroid x of each base triangle, or
+    /// zeros for a restored run, whose PEs overlay their captured field.
+    first_field: Vec<f64>,
     /// The mesh after the last step. Triangles are never deleted, so its
     /// parent links cover every triangle of every level.
     mesh: AdaptiveMesh,
-    /// `levels[k]` is the mesh after `k` adaptation steps.
+    /// `levels[k]` is the mesh after `start + k` adaptation steps.
     levels: Vec<PlanLevel>,
 }
 
@@ -204,22 +243,58 @@ impl AmrPlan {
     /// partition every level: RCB over the base mesh, then after each step
     /// RCB plus (with [`AmrConfig::use_remap`]) PLUM remapping against the
     /// owners the new triangles inherit from their parents.
-    pub fn build(cfg: &AmrConfig, nparts: Option<usize>) -> AmrPlan {
+    ///
+    /// With a `start`, the plan is for a run restored at that step: the
+    /// adaptation below it is still replayed (the mesh is not captured),
+    /// but levels — dual graphs and partitions — begin at the captured
+    /// step, and partitioning resumes from the captured owners.
+    ///
+    /// # Panics
+    /// If `start` lies past the last step, or the plan partitions and the
+    /// captured owners do not cover the mesh at the captured step.
+    pub fn build(cfg: &AmrConfig, nparts: Option<usize>, start: Option<PlanStart>) -> AmrPlan {
         let mut rm = ReplicatedMesh::new(cfg);
-        let base_field = (0..rm.mesh.num_tris_total() as u32)
-            .map(|t| rm.mesh.centroid_of(t).x)
-            .collect();
-        let mut owner = vec![0u32; rm.mesh.num_tris_total()];
-        let mut levels = Vec::with_capacity(cfg.steps + 1);
-        for k in 0..=cfg.steps {
-            let stats = if k == 0 {
+        let restored = start.is_some();
+        let first = start.as_ref().map_or(0, |s| s.step);
+        assert!(
+            first <= cfg.steps,
+            "AMR plan: start step {first} is past the last step"
+        );
+        for k in 0..first {
+            rm.adapt(cfg, k);
+        }
+        let num_tris = rm.mesh.num_tris_total();
+        let (first_field, mut owner) = match start {
+            None => (
+                (0..num_tris as u32)
+                    .map(|t| rm.mesh.centroid_of(t).x)
+                    .collect(),
+                vec![0u32; num_tris],
+            ),
+            Some(s) => {
+                if nparts.is_some() {
+                    assert_eq!(
+                        s.owner.len(),
+                        num_tris,
+                        "AMR plan: captured owners do not match the mesh"
+                    );
+                }
+                (vec![0.0; num_tris], s.owner)
+            }
+        };
+        let mut levels = Vec::with_capacity(cfg.steps + 1 - first);
+        for k in first..=cfg.steps {
+            let stats = if k == first {
                 AdaptStats::default()
             } else {
                 rm.adapt(cfg, k - 1)
             };
             let num_tris = rm.mesh.num_tris_total();
             let dual = dual_graph(&rm.mesh);
-            let repart = nparts.map(|np| {
+            // A restored run's first level was partitioned before the
+            // capture; its owners are the seed.
+            let seeded = restored && k == first;
+            let repart = nparts.filter(|_| !seeded).map(|np| {
                 for t in owner.len()..num_tris {
                     let parent = rm.mesh.parent_of(t as u32).expect("has parent");
                     owner.push(owner[parent as usize]);
@@ -244,13 +319,20 @@ impl AmrPlan {
             });
         }
         AmrPlan {
-            base_field,
+            start: first,
+            first_field,
             mesh: rm.mesh,
             levels,
         }
     }
 
-    /// The levels: `levels()[k]` is the mesh after `k` adaptation steps.
+    /// Adaptation steps before the first level.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// The levels: `levels()[k]` is the mesh after `start() + k` adaptation
+    /// steps.
     pub fn levels(&self) -> &[PlanLevel] {
         &self.levels
     }
@@ -274,17 +356,19 @@ pub struct AmrState<'a> {
 }
 
 impl<'a> AmrState<'a> {
-    /// The base mesh with the initial field (centroid x).
+    /// The plan's first level: the base mesh with the initial field
+    /// (centroid x), or for a restored run the captured step with a zero
+    /// field for the PE to overlay.
     pub fn new(plan: &'a AmrPlan) -> Self {
         AmrState {
             plan,
-            step: 0,
-            field: plan.base_field.clone(),
+            step: plan.start,
+            field: plan.first_field.clone(),
         }
     }
 
     fn level(&self) -> &'a PlanLevel {
-        &self.plan.levels[self.step]
+        &self.plan.levels[self.step - self.plan.start]
     }
 
     /// Take the next adaptation step: extend the field (children inherit
@@ -377,7 +461,7 @@ pub fn partition_active(
 /// without running the parallel code. Returns, per step,
 /// `(imbalance_before_partitioning, imbalance_after, total_v, max_v)`.
 pub fn balance_series(cfg: &AmrConfig, nparts: usize) -> Vec<(f64, f64, f64, f64)> {
-    let plan = AmrPlan::build(cfg, Some(nparts));
+    let plan = AmrPlan::build(cfg, Some(nparts), None);
     plan.levels()[1..]
         .iter()
         .map(|level| {
@@ -511,7 +595,7 @@ mod tests {
     fn plan_matches_the_sequential_reference() {
         for cfg in configs() {
             for nparts in [None, Some(1), Some(4), Some(32)] {
-                let plan = AmrPlan::build(&cfg, nparts);
+                let plan = AmrPlan::build(&cfg, nparts, None);
                 let (want, field) = reference(&cfg, nparts);
                 assert_eq!(plan.levels().len(), want.len());
                 let mut state = AmrState::new(&plan);
@@ -541,11 +625,83 @@ mod tests {
         }
     }
 
+    /// The replicated owner map right after the partition at step `s`,
+    /// read off a plan built from the base mesh.
+    fn owners_at(plan: &AmrPlan, s: usize) -> Vec<u32> {
+        let mut owner: Vec<u32> = Vec::new();
+        for level in &plan.levels()[..=s] {
+            for t in owner.len()..level.num_tris {
+                let o = plan
+                    .mesh
+                    .parent_of(t as u32)
+                    .map_or(0, |p| owner[p as usize]);
+                owner.push(o);
+            }
+            let parts = &level.repart.as_ref().expect("partitioned plan").parts;
+            for (i, &t) in level.dual.tris.iter().enumerate() {
+                owner[t as usize] = parts[i];
+            }
+        }
+        owner
+    }
+
+    #[test]
+    fn restored_plan_matches_the_full_plan_from_its_start() {
+        for cfg in configs() {
+            for nparts in [None, Some(4)] {
+                let full = AmrPlan::build(&cfg, nparts, None);
+                for step in 0..=cfg.steps {
+                    let owner = match nparts {
+                        Some(_) => owners_at(&full, step),
+                        None => Vec::new(),
+                    };
+                    let plan = AmrPlan::build(&cfg, nparts, Some(PlanStart { step, owner }));
+                    assert_eq!(plan.start(), step);
+                    let want = &full.levels()[step..];
+                    assert_eq!(plan.levels().len(), want.len());
+                    for (k, (got, want)) in plan.levels().iter().zip(want).enumerate() {
+                        let ctx = format!("{cfg:?} nparts={nparts:?} start {step} level +{k}");
+                        assert_eq!(got.num_tris, want.num_tris, "{ctx}");
+                        assert_eq!(got.dual.tris, want.dual.tris, "{ctx}");
+                        assert_eq!(got.dual.xadj, want.dual.xadj, "{ctx}");
+                        assert_eq!(got.dual.adj, want.dual.adj, "{ctx}");
+                        if k == 0 {
+                            // The captured level was partitioned before the
+                            // capture: its owners are the seed.
+                            assert!(got.repart.is_none(), "{ctx}");
+                            continue;
+                        }
+                        assert_eq!(got.stats, want.stats, "{ctx}");
+                        match (&got.repart, &want.repart) {
+                            (None, None) => {}
+                            (Some(g), Some(w)) => {
+                                assert_eq!(g.inherited, w.inherited, "{ctx}");
+                                assert_eq!(g.parts, w.parts, "{ctx}");
+                                assert_eq!(g.moves, w.moves, "{ctx}");
+                            }
+                            _ => panic!("{ctx}: partitioned on one side only"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "captured owners do not match the mesh")]
+    fn restored_plan_refuses_owners_of_another_mesh() {
+        let start = PlanStart {
+            step: 2,
+            owner: vec![0; 3],
+        };
+        AmrPlan::build(&AmrConfig::small(), Some(4), Some(start));
+    }
+
     #[test]
     #[should_panic(expected = "inherited owners differ at step 1")]
     fn mismatched_inherited_owners_panic_naming_the_step() {
         let cfg = AmrConfig::small();
-        let plan = AmrPlan::build(&cfg, Some(4));
+        let plan = AmrPlan::build(&cfg, Some(4), None);
         let mut state = AmrState::new(&plan);
         state.adapt();
         state.adapt();
@@ -557,7 +713,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "without partitions")]
     fn unpartitioned_plan_refuses_partition_lookups() {
-        let plan = AmrPlan::build(&AmrConfig::small(), None);
+        let plan = AmrPlan::build(&AmrConfig::small(), None, None);
         AmrState::new(&plan).partition(&[]);
     }
 
@@ -575,7 +731,7 @@ mod tests {
     #[test]
     fn field_extension_covers_all_tris() {
         let cfg = AmrConfig::small();
-        let plan = AmrPlan::build(&cfg, None);
+        let plan = AmrPlan::build(&cfg, None, None);
         let mut s = AmrState::new(&plan);
         for _ in 0..cfg.steps {
             s.adapt();

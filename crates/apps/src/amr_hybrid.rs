@@ -52,7 +52,7 @@ pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPoli
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let mp = MpWorld::new(Arc::clone(&machine));
     let sas = SasWorld::new(Arc::clone(&machine));
-    let plan = AmrPlan::build(cfg, Some(machine.topology.nodes()));
+    let plan = AmrPlan::build(cfg, Some(machine.topology.nodes()), None);
     let team = opts.configure(Team::new(Arc::clone(&machine)).seed(cfg.seed));
     let run = team.run(|ctx| pe_main(ctx, &mp, &sas, cfg, &plan));
     RunMetrics::collect(App::Amr, Model::Hybrid, &run, plan.final_active())

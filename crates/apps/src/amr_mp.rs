@@ -37,8 +37,9 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     let world = MpWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
+    let start = crate::amr_common::PlanStart::with_owners(&snap);
     // snap:end
-    let plan = AmrPlan::build(cfg, Some(machine.pes()));
+    let plan = AmrPlan::build(cfg, Some(machine.pes()), start);
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         rank_main(ctx, &world, cfg, &plan, &snap)
@@ -57,14 +58,11 @@ fn rank_main(
     let me = ctx.pe();
 
     // snap:begin — warm start: the mesh topology is a pure function of the
-    // config and the step count, so move the plan cursor to the step
-    // host-side (zero virtual-time charges — the restored clocks already
-    // paid for it), then overlay the captured field and ownership map.
+    // config and the step count, so the restored plan starts at the step
+    // (zero virtual-time charges — the restored clocks already paid for
+    // it); overlay the captured field and ownership map.
     let (start, mut state, mut owner) = if let Some(at) = snap.resume_index("step") {
         let mut state = AmrState::new(plan);
-        for _ in 0..at {
-            state.adapt();
-        }
         let (field, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
         assert_eq!(
             field.len(),

@@ -82,8 +82,9 @@ pub fn run_with_opts(
         &format!("{cfg:?}/{policy:?}"),
     );
     snap.import_world(|b| world.import_state_bytes(b));
+    let start = crate::amr_common::PlanStart::at_gate(&snap);
     // snap:end
-    let plan = AmrPlan::build(cfg, None);
+    let plan = AmrPlan::build(cfg, None, start);
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         pe_main(ctx, &world, cfg, &plan, &snap)
@@ -106,13 +107,11 @@ fn pe_main(
 
     // snap:begin — warm start: the shared field, page homes, and directory
     // came back through the world import; attach to the regions in
-    // allocation order, reload this PE's private cache, and move the plan
-    // cursor to the step to rebuild the replicated mesh.
+    // allocation order, reload this PE's private cache, and start at the
+    // restored plan's first level (the shared field is authoritative; the
+    // replica's zero field goes unused).
     let (start, mut state, field, cursors) = if let Some(at) = snap.resume_index("step") {
-        let mut state = AmrState::new(plan);
-        for _ in 0..at {
-            state.adapt();
-        }
+        let state = AmrState::new(plan);
         let field: SasSlice<f64> = w.attach(ctx, cap);
         let cursors: SasSlice<u64> = w.attach(ctx, cfg.steps * cfg.sweeps + 1);
         let cache = decode_sas_state(snap.payload(me).expect("resume payload"), at);
@@ -351,7 +350,6 @@ mod tests {
                 crate::RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
-                    ..crate::RunOpts::default()
                 },
             )
         };

@@ -41,8 +41,9 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
+    let start = crate::amr_common::PlanStart::with_owners(&snap);
     // snap:end
-    let plan = AmrPlan::build(cfg, Some(machine.pes()));
+    let plan = AmrPlan::build(cfg, Some(machine.pes()), start);
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         pe_main(ctx, &world, cfg, &plan, &snap)
@@ -62,15 +63,12 @@ fn pe_main(
     let cap = cfg.tri_capacity();
 
     // snap:begin — warm start: attach to the imported symmetric heap (the
-    // field mirror's cells were restored bitwise), move the plan cursor to
-    // the step, and overlay the captured replica and ownership map. No
-    // virtual-time charges — the restored clocks already include the
-    // prologue.
+    // field mirror's cells were restored bitwise), start at the restored
+    // plan's first level, and overlay the captured replica and ownership
+    // map. No virtual-time charges — the restored clocks already include
+    // the prologue.
     let (start, mut state, mut owner, field) = if let Some(at) = snap.resume_index("step") {
         let mut state = AmrState::new(plan);
-        for _ in 0..at {
-            state.adapt();
-        }
         let (f, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
         assert_eq!(f.len(), state.num_tris_total(), "snapshot/config mismatch");
         state.field = f;

@@ -41,19 +41,16 @@ pub use snapshot::Snapshotter;
 use std::sync::Arc;
 
 use machine::Machine;
-use parallel::{ExecMode, SchedPolicy, Team};
+use parallel::{SchedPolicy, Team};
 
 /// Per-run execution options every model entry point honours: an optional
-/// scheduling-policy override, an optional execution-backend override, and
-/// an optional snapshot capture/restore request. `None` keeps the process
-/// defaults ([`parallel::sched::default_policy`] /
-/// [`parallel::sched::default_exec`] / [`o2k_snap::current_spec`]).
+/// scheduling-policy override and an optional snapshot capture/restore
+/// request. `None` keeps the process defaults
+/// ([`parallel::sched::default_policy`] / [`o2k_snap::current_spec`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Scheduling policy (which PE runs next).
     pub sched: Option<SchedPolicy>,
-    /// Execution backend (what a PE is: OS thread or coroutine).
-    pub exec: Option<ExecMode>,
     /// Snapshot capture/restore for this run (see [`snapshot`]).
     pub snap: Option<o2k_snap::SnapSpec>,
 }
@@ -67,26 +64,18 @@ impl RunOpts {
         }
     }
 
-    /// Deterministic schedule on the single-threaded event backend: the
-    /// combination the P ≥ 1024 scaling experiments require (the thread
-    /// backend refuses teams past its cap).
+    /// The deterministic schedule, pinned regardless of the process
+    /// default. Like every cooperative policy it runs on the event core.
     pub fn det_event() -> Self {
-        RunOpts {
-            sched: Some(SchedPolicy::Det),
-            exec: Some(ExecMode::Event),
-            ..Self::default()
-        }
+        RunOpts::with_sched(Some(SchedPolicy::Det))
     }
 
     /// Apply the overrides to a team builder.
-    pub fn configure(&self, mut team: Team) -> Team {
-        if let Some(s) = self.sched {
-            team = team.sched(s);
+    pub fn configure(&self, team: Team) -> Team {
+        match self.sched {
+            Some(s) => team.sched(s),
+            None => team,
         }
-        if let Some(e) = self.exec {
-            team = team.exec(e);
-        }
-        team
     }
 }
 
@@ -125,7 +114,7 @@ pub fn run_app_sched(
 }
 
 /// [`run_app`] with full execution options (scheduling policy *and*
-/// execution backend — see [`RunOpts`]).
+/// snapshot request — see [`RunOpts`]).
 pub fn run_app_opts(
     machine: Arc<Machine>,
     app: App,

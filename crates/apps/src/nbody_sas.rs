@@ -348,7 +348,6 @@ mod tests {
                 crate::RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
-                    ..crate::RunOpts::default()
                 },
             )
         };

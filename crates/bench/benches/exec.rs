@@ -1,14 +1,12 @@
-//! Criterion benchmarks of the execution backends:
+//! Criterion benchmarks of the event execution core:
 //!
 //! * `coro_switch_100` — 100 yield/resume pairs through the raw stack
 //!   switch (the event core's unit cost, vs ~µs for a condvar handoff);
-//! * `nbody_p64_{thread,event}` / `serve_p64_{thread,event}` — the same
-//!   deterministic run on both backends, head to head;
-//! * `{nbody,serve}_p256_event`, `serve_p1024_event`, and
-//!   `nbody_p1024_event_unfiltered` — the scaling trajectory past the
-//!   thread cap, event core only (the wall-clock curve BENCH_exec.json
-//!   pins; every run replays the det schedule, so sim results are fixed).
-//!   The N-body P=1024 cell is message-volume-bound, hence its own id.
+//! * `{nbody,serve}_p{64,256}_event`, `serve_p1024_event`, and
+//!   `nbody_p1024_event_unfiltered` — the scaling trajectory (the
+//!   wall-clock curve BENCH_exec.json pins; every run replays the det
+//!   schedule, so sim results are fixed). The N-body P=1024 cell is
+//!   message-volume-bound, hence its own id.
 //! * `event_heap_{indexed,lazy}_p1024` — the pending-PE set in isolation:
 //!   one million pick/advance handoffs through the fixed-capacity indexed
 //!   `PeHeap` versus the old lazy-invalidation `BinaryHeap` + stamp
@@ -21,18 +19,9 @@ use apps::{App, Model, NBodyConfig, RunOpts};
 use machine::{Machine, MachineConfig};
 use o2k_sched::coro;
 use o2k_serve::ServeConfig;
-use parallel::{ExecMode, SchedPolicy};
 
 fn machine(p: usize) -> Arc<Machine> {
     Arc::new(Machine::new(p, MachineConfig::origin2000()))
-}
-
-fn opts(exec: ExecMode) -> RunOpts {
-    RunOpts {
-        sched: Some(SchedPolicy::Det),
-        exec: Some(exec),
-        ..RunOpts::default()
-    }
 }
 
 fn nbody_cfg() -> NBodyConfig {
@@ -69,19 +58,14 @@ fn bench_exec(c: &mut Criterion) {
     });
 
     let nb = nbody_cfg();
-    for (p, exec) in [
-        (64, ExecMode::Thread),
-        (64, ExecMode::Event),
-        (256, ExecMode::Event),
-        (1024, ExecMode::Event),
-    ] {
+    for p in [64, 256, 1024] {
         // The P=1024 cell is dominated by O(P^2) MP message volume —
-        // simulated work no backend can elide — so its trajectory lives
+        // simulated work no scheduler can elide — so its trajectory lives
         // under its own `_unfiltered` id (see BENCH_exec.json).
         let name = if p == 1024 {
-            format!("nbody_p{p}_{exec}_unfiltered")
+            format!("nbody_p{p}_event_unfiltered")
         } else {
-            format!("nbody_p{p}_{exec}")
+            format!("nbody_p{p}_event")
         };
         let nb = nb.clone();
         c.bench_function(&name, move |b| {
@@ -92,7 +76,7 @@ fn bench_exec(c: &mut Criterion) {
                     Model::Mp,
                     &nb,
                     &apps::AmrConfig::small(),
-                    opts(exec),
+                    RunOpts::det_event(),
                 )
                 .sim_time
             })
@@ -100,16 +84,13 @@ fn bench_exec(c: &mut Criterion) {
     }
 
     let sv = serve_cfg();
-    for (p, exec) in [
-        (64, ExecMode::Thread),
-        (64, ExecMode::Event),
-        (256, ExecMode::Event),
-        (1024, ExecMode::Event),
-    ] {
-        let name = format!("serve_p{p}_{exec}");
+    for p in [64, 256, 1024] {
+        let name = format!("serve_p{p}_event");
         let sv = sv.clone();
         c.bench_function(&name, move |b| {
-            b.iter(|| o2k_serve::run_opts(machine(p), Model::Shmem, &sv, opts(exec)).sim_time)
+            b.iter(|| {
+                o2k_serve::run_opts(machine(p), Model::Shmem, &sv, RunOpts::det_event()).sim_time
+            })
         });
     }
 }

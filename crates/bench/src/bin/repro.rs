@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro <id>... [--quick] [--sched <policy>] [--exec <mode>] [--fault <spec>]
+//! repro <id>... [--quick] [--sched <policy>] [--fault <spec>]
 //!               [--snapshot <dir>@<gate>[:index] | --restore <dir>] [--trace <dir>]
 //! repro all [--quick]                       run the whole suite
 //! ```
@@ -17,14 +17,9 @@
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
 //! policy: `det` (default here — every table is bitwise reproducible),
 //! `os` (free-running host threads), `explore:<seed>` (seeded random
-//! interleaving), or `bp:<seed>:<budget>` (bounded preemption). See
-//! DESIGN.md "Determinism & scheduling".
-//!
-//! `--exec <mode>` (or `O2K_EXEC=<mode>`) picks the execution backend:
-//! `thread` (default — one OS thread per PE) or `event` (every PE a
-//! coroutine on one OS thread; required past 512 PEs, e.g. experiment
-//! E1's P=1024 points). Under `det` the two backends produce
-//! byte-identical archives — CI diffs them.
+//! interleaving), or `bp:<seed>:<budget>` (bounded preemption). Every
+//! policy but `os` runs each team on the event core: every PE a coroutine
+//! on one OS thread. See DESIGN.md "Determinism & scheduling".
 //!
 //! `--fault <spec>` (or `O2K_FAULT=<spec>`) injects link faults into every
 //! machine the experiments build: `off` or
@@ -57,10 +52,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(o2k_sched::SchedPolicy::Det);
-    let mut exec = std::env::var("O2K_EXEC")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(o2k_sched::ExecMode::Thread);
     // `None` leaves the `O2K_FAULT` / healthy default in place.
     let mut fault: Option<machine::FaultMode> = None;
     let mut snap: Option<o2k_snap::SnapSpec> = None;
@@ -82,14 +73,6 @@ fn main() {
                     eprintln!(
                         "--sched requires a policy: os, det, explore:<seed>, bp:<seed>:<budget>"
                     );
-                    std::process::exit(2);
-                }
-            }
-        } else if a == "--exec" {
-            match it.next().map(|s| s.parse()) {
-                Some(Ok(e)) => exec = e,
-                _ => {
-                    eprintln!("--exec requires a mode: thread or event");
                     std::process::exit(2);
                 }
             }
@@ -130,13 +113,12 @@ fn main() {
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: repro <id>... [--quick] [--sched <policy>] [--exec <mode>] [--fault <spec>] [--snapshot <dir>@<gate>[:index] | --restore <dir>] [--trace <dir>]   ids: {} all",
+            "usage: repro <id>... [--quick] [--sched <policy>] [--fault <spec>] [--snapshot <dir>@<gate>[:index] | --restore <dir>] [--trace <dir>]   ids: {} all",
             EXPERIMENT_IDS.join(" ")
         );
         std::process::exit(2);
     }
     o2k_sched::set_default_policy(sched);
-    o2k_sched::set_default_exec(exec);
     if let Some(f) = fault {
         machine::fault::set_default_fault(f);
     }

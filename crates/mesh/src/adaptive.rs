@@ -13,9 +13,8 @@
 //! records its children, so the hierarchy supports cheap coarsening and
 //! parent lookups (as the paper's remeshing code did).
 
-use std::collections::{HashMap, HashSet};
-
 use crate::geom::{self, Point2};
+use crate::hash::{FxMap, FxSet};
 
 /// Sentinel for "no parent".
 const NONE: u32 = u32::MAX;
@@ -54,7 +53,7 @@ pub struct AdaptiveMesh {
     children: Vec<Vec<u32>>,
     level: Vec<u8>,
     /// Midpoint vertex registered per split edge.
-    midpoints: HashMap<(u32, u32), u32>,
+    midpoints: FxMap<(u32, u32), u32>,
     base_area: f64,
 }
 
@@ -93,7 +92,7 @@ impl AdaptiveMesh {
             parent: vec![NONE; n],
             children: vec![Vec::new(); n],
             level: vec![0; n],
-            midpoints: HashMap::new(),
+            midpoints: FxMap::default(),
             base_area: width * height,
         };
         mesh.base_area = mesh.total_area();
@@ -174,7 +173,7 @@ impl AdaptiveMesh {
     /// closure pulls in). Marked triangles split 1:4; closure neighbours
     /// with one marked edge split 1:2.
     pub fn refine(&mut self, marked: &[u32]) -> RefineReport {
-        let mut marked_edges: HashSet<(u32, u32)> = HashSet::new();
+        let mut marked_edges: FxSet<(u32, u32)> = FxSet::default();
         for &t in marked {
             if self.alive[t as usize] {
                 let [a, b, c] = self.tris[t as usize];
@@ -189,7 +188,7 @@ impl AdaptiveMesh {
     /// Core of refinement: close the marked-edge set (>=2 marked edges on a
     /// triangle promotes to all three), then split every affected active
     /// triangle red (3 marked) or green (1 marked).
-    fn apply_marked_edges(&mut self, mut marked_edges: HashSet<(u32, u32)>) -> RefineReport {
+    fn apply_marked_edges(&mut self, mut marked_edges: FxSet<(u32, u32)>) -> RefineReport {
         if marked_edges.is_empty() {
             return RefineReport::default();
         }
@@ -217,7 +216,7 @@ impl AdaptiveMesh {
         for &t in &active {
             let [a, b, c] = self.tris[t as usize];
             let e = [edge_key(a, b), edge_key(b, c), edge_key(a, c)];
-            let m: Vec<bool> = e.iter().map(|k| marked_edges.contains(k)).collect();
+            let m = e.map(|k| marked_edges.contains(&k));
             match m.iter().filter(|&&x| x).count() {
                 0 => {}
                 3 => {
@@ -264,69 +263,63 @@ impl AdaptiveMesh {
     /// iterating to a fixpoint since skipping one group can pin others.
     /// Returns the number of groups coarsened.
     pub fn coarsen(&mut self, marked: &[u32]) -> usize {
-        let marked: HashSet<u32> = marked
-            .iter()
-            .copied()
-            .filter(|&t| self.alive[t as usize])
-            .collect();
-
-        // Candidate parents: every child alive and marked.
-        let mut parents: Vec<u32> = marked.iter().filter_map(|&t| self.parent_of(t)).collect();
-        parents.sort_unstable();
-        parents.dedup();
-        let mut in_set: HashSet<u32> = parents
-            .into_iter()
-            .filter(|&p| {
-                let kids = &self.children[p as usize];
-                !kids.is_empty()
-                    && kids
-                        .iter()
-                        .all(|&k| self.alive[k as usize] && marked.contains(&k))
-            })
-            .collect();
-        if in_set.is_empty() {
-            return 0;
+        let mut is_marked = vec![false; self.tris.len()];
+        for &t in marked {
+            is_marked[t as usize] = self.alive[t as usize];
         }
 
-        // Which active triangles use each vertex.
-        let mut users: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &t in &self.active_tris() {
-            for v in self.tris[t as usize] {
-                users.entry(v).or_default().push(t);
-            }
+        // Candidate parents: every child alive and marked.
+        let mut groups: Vec<u32> = marked.iter().filter_map(|&t| self.parent_of(t)).collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups.retain(|&p| {
+            let kids = &self.children[p as usize];
+            !kids.is_empty()
+                && kids
+                    .iter()
+                    .all(|&k| self.alive[k as usize] && is_marked[k as usize])
+        });
+        if groups.is_empty() {
+            return 0;
+        }
+        let mut in_set = vec![false; self.tris.len()];
+        for &p in &groups {
+            in_set[p as usize] = true;
         }
 
         // Fixpoint: drop groups with >= 2 parent-edge midpoints pinned by
         // outside triangles (coarsening them would be immediately undone by
         // a red re-split; <= 1 pin costs only a green patch).
+        let active = self.active_tris();
         loop {
-            let offenders: Vec<u32> = in_set
-                .iter()
-                .copied()
-                .filter(|&p| {
-                    let [a, b, c] = self.tris[p as usize];
-                    let pinned = [edge_key(a, b), edge_key(b, c), edge_key(a, c)]
-                        .iter()
-                        .filter_map(|k| self.midpoints.get(k))
-                        .filter(|m| {
-                            users.get(m).into_iter().flatten().any(|&t| {
-                                let tp = self.parent[t as usize];
-                                tp == NONE || !in_set.contains(&tp)
-                            })
-                        })
-                        .count();
-                    pinned >= 2
-                })
-                .collect();
-            if offenders.is_empty() {
-                break;
+            // A vertex is pinned when an active triangle outside every
+            // surviving group uses it.
+            let mut pinned = vec![false; self.verts.len()];
+            for &t in &active {
+                let tp = self.parent[t as usize];
+                if tp == NONE || !in_set[tp as usize] {
+                    for v in self.tris[t as usize] {
+                        pinned[v as usize] = true;
+                    }
+                }
             }
-            for p in offenders {
-                in_set.remove(&p);
+            let before = groups.len();
+            groups.retain(|&p| {
+                let [a, b, c] = self.tris[p as usize];
+                let pins = [edge_key(a, b), edge_key(b, c), edge_key(a, c)]
+                    .iter()
+                    .filter_map(|k| self.midpoints.get(k))
+                    .filter(|&&m| pinned[m as usize])
+                    .count();
+                in_set[p as usize] = pins < 2;
+                pins < 2
+            });
+            if groups.len() == before {
+                break;
             }
         }
 
-        for &p in &in_set {
+        for &p in &groups {
             for k in std::mem::take(&mut self.children[p as usize]) {
                 self.alive[k as usize] = false;
             }
@@ -334,7 +327,7 @@ impl AdaptiveMesh {
         }
 
         self.restore_conformity();
-        in_set.len()
+        groups.len()
     }
 
     /// Green-patch any active edge whose registered midpoint is used by an
@@ -342,16 +335,18 @@ impl AdaptiveMesh {
     fn restore_conformity(&mut self) {
         loop {
             let active = self.active_tris();
-            let mut used: HashSet<u32> = HashSet::new();
+            let mut used = vec![false; self.verts.len()];
             for &t in &active {
-                used.extend(self.tris[t as usize]);
+                for v in self.tris[t as usize] {
+                    used[v as usize] = true;
+                }
             }
-            let mut hanging: HashSet<(u32, u32)> = HashSet::new();
+            let mut hanging: FxSet<(u32, u32)> = FxSet::default();
             for &t in &active {
                 let [a, b, c] = self.tris[t as usize];
                 for k in [edge_key(a, b), edge_key(b, c), edge_key(a, c)] {
-                    if let Some(m) = self.midpoints.get(&k) {
-                        if used.contains(m) {
+                    if let Some(&m) = self.midpoints.get(&k) {
+                        if used[m as usize] {
                             hanging.insert(k);
                         }
                     }
@@ -403,8 +398,8 @@ impl AdaptiveMesh {
     /// * total active area equals the base-mesh area.
     pub fn validate(&self) -> Result<(), String> {
         let active = self.active_tris();
-        let mut edge_count: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut used_verts: HashSet<u32> = HashSet::new();
+        let mut edge_count: FxMap<(u32, u32), u32> = FxMap::default();
+        let mut used_verts: FxSet<u32> = FxSet::default();
         for &t in &active {
             let [a, b, c] = self.tris[t as usize];
             if a == b || b == c || a == c {
@@ -446,6 +441,7 @@ impl AdaptiveMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn mesh4() -> AdaptiveMesh {
         AdaptiveMesh::structured(4, 4, 1.0, 1.0)
@@ -725,7 +721,7 @@ impl AdaptiveMesh {
             parent: vec![NONE; n],
             children: vec![Vec::new(); n],
             level: vec![0; n],
-            midpoints: HashMap::new(),
+            midpoints: FxMap::default(),
             base_area: 0.0,
         };
         mesh.base_area = mesh.total_area();

@@ -4,10 +4,9 @@
 //! an edge where two triangles share a mesh edge. Weights are triangle
 //! areas by default (uniform solver cost per unit area).
 
-use std::collections::HashMap;
-
 use crate::adaptive::AdaptiveMesh;
 use crate::geom::Point2;
+use crate::hash::FxMap;
 
 /// Dual graph in compressed sparse row form.
 #[derive(Debug, Clone)]
@@ -49,29 +48,22 @@ impl DualGraph {
 /// Build the dual graph of `mesh`'s active triangles.
 pub fn dual_graph(mesh: &AdaptiveMesh) -> DualGraph {
     let tris = mesh.active_tris();
-    let index: HashMap<u32, u32> = tris
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| (t, i as u32))
-        .collect();
 
     // Edge → adjacent active triangles (≤ 2 by conformity).
-    let mut by_edge: HashMap<(u32, u32), [u32; 2]> = HashMap::new();
-    let mut counts: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut by_edge: FxMap<(u32, u32), [u32; 2]> = FxMap::default();
     for (i, &t) in tris.iter().enumerate() {
         let [a, b, c] = mesh.tri(t);
         for (x, y) in [(a, b), (b, c), (a, c)] {
             let k = if x < y { (x, y) } else { (y, x) };
-            let slot = counts.entry(k).or_insert(0);
-            by_edge.entry(k).or_insert([u32::MAX; 2])[*slot] = i as u32;
-            *slot += 1;
+            let pair = by_edge.entry(k).or_insert([u32::MAX; 2]);
+            pair[usize::from(pair[0] != u32::MAX)] = i as u32;
         }
     }
 
     let n = tris.len();
     let mut neighbor_lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (k, pair) in &by_edge {
-        if counts[k] == 2 {
+    for pair in by_edge.values() {
+        if pair[1] != u32::MAX {
             neighbor_lists[pair[0] as usize].push(pair[1]);
             neighbor_lists[pair[1] as usize].push(pair[0]);
         }
@@ -89,7 +81,6 @@ pub fn dual_graph(mesh: &AdaptiveMesh) -> DualGraph {
     }
     let centroids = tris.iter().map(|&t| mesh.centroid_of(t)).collect();
     let weights = tris.iter().map(|&t| mesh.area_of(t)).collect();
-    let _ = index; // index retained for clarity of construction
     DualGraph {
         tris,
         xadj,

@@ -1,7 +1,9 @@
-//! PE-team runtime: real threads, virtual Origin2000 time.
+//! PE-team runtime: host execution, virtual Origin2000 time.
 //!
-//! [`Team::run`] spawns one OS thread per simulated processing element (PE).
-//! Each thread receives a [`Ctx`] holding its virtual [`machine::Clock`],
+//! [`Team::run`] runs one body per simulated processing element (PE): a
+//! coroutine on the event core under a cooperative scheduling policy, or a
+//! free-running OS thread under [`SchedPolicy::Os`]. Each PE receives a
+//! [`Ctx`] holding its virtual [`machine::Clock`],
 //! event [`machine::Counters`], a deterministic per-PE RNG, and access to
 //! team-wide synchronisation plumbing (clock-synchronising barriers and
 //! blackboard collectives).
@@ -36,7 +38,7 @@ mod team;
 pub use ctx::{charge_batching, set_charge_batching, ChargeRun, Ctx};
 pub use element::{Element, IntElement};
 pub use lock::{SimLock, SimLockGuard};
-pub use team::{thread_pe_cap, PeReport, Team, TeamResume, TeamRun};
+pub use team::{PeReport, Team, TeamResume, TeamRun};
 
 // Re-export the tracing vocabulary so model runtimes built on `Ctx` can
 // name event kinds and dependency edges without a separate dependency.
@@ -45,7 +47,7 @@ pub use o2k_trace::{Dep, Event, EventKind};
 // Re-export the scheduler so applications and tests can pick policies
 // (`Team::sched`) without a separate dependency.
 pub use o2k_sched as sched;
-pub use o2k_sched::{ExecMode, SchedPolicy, SchedStats};
+pub use o2k_sched::{SchedPolicy, SchedStats};
 
 // Re-export the interconnect contention model so applications and
 // experiments can read `TeamRun::net` stats and hotspot reports without a

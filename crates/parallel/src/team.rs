@@ -6,25 +6,10 @@ use std::sync::{Arc, Barrier};
 
 use machine::{ContentionMode, Counters, Machine, SimTime, TimeBreakdown};
 use o2k_net::NetSim;
-use o2k_sched::{coro, CoopSched, ExecMode, SchedPolicy, SchedStats, POISON_MSG};
+use o2k_sched::{CoopSched, SchedPolicy, SchedStats};
 use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
-
-/// Largest team [`ExecMode::Thread`] will spawn. One OS thread per PE is
-/// fine at the paper's 64 CPUs but a P=1024 team would commit a thousand
-/// thread stacks and crawl through kernel handoffs — refuse it with a
-/// pointer at the event backend instead of fork-bombing the host.
-/// Override with `O2K_THREAD_PE_CAP` (for hosts that genuinely want it).
-pub fn thread_pe_cap() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("O2K_THREAD_PE_CAP")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(512)
-    })
-}
 
 /// Per-PE outcome of a team run: final virtual time, its breakdown, the
 /// PE's event counters, and (when tracing) its recorded events.
@@ -161,23 +146,6 @@ impl TeamShared {
     }
 }
 
-/// Poisons the cooperative scheduler if the PE thread unwinds, so blocked
-/// peers wake and unwind too instead of hanging the join.
-struct PoisonOnPanic {
-    coop: Option<Arc<CoopSched>>,
-    pe: usize,
-}
-
-impl Drop for PoisonOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Some(cs) = &self.coop {
-                cs.poison(self.pe);
-            }
-        }
-    }
-}
-
 /// Substrate state a team needs to resume from a snapshot: the
 /// scheduler's pick-sequence state, every PE's core state, and the
 /// fabric's busy-until queues. Model and app state (heaps, regions,
@@ -207,21 +175,18 @@ pub struct Team {
     seed: u64,
     trace: bool,
     sched: SchedPolicy,
-    exec: ExecMode,
 }
 
 impl Team {
     /// A team covering every PE of `machine`. The scheduling policy
     /// defaults to [`o2k_sched::default_policy`] (`O2K_SCHED` env var or
-    /// [`SchedPolicy::Os`]); the execution backend to
-    /// [`o2k_sched::default_exec`] (`O2K_EXEC` or [`ExecMode::Thread`]).
+    /// [`SchedPolicy::Os`]).
     pub fn new(machine: Arc<Machine>) -> Self {
         Team {
             machine,
             seed: 0x5EED_0816,
             trace: false,
             sched: o2k_sched::default_policy(),
-            exec: o2k_sched::default_exec(),
         }
     }
 
@@ -240,16 +205,6 @@ impl Team {
         self
     }
 
-    /// Set the execution backend (see [`ExecMode`]). `Event` runs every
-    /// PE as a coroutine on one OS thread — the only way past
-    /// [`thread_pe_cap`] PEs — and produces bitwise-identical `det` runs
-    /// to `Thread`. Ignored (thread backend used) under
-    /// [`SchedPolicy::Os`], which *means* free-running OS threads.
-    pub fn exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
-    }
-
     /// Enable event tracing for runs of this team. Tracing is also enabled
     /// globally via [`o2k_trace::set_enabled`], which additionally pushes
     /// each run's trace to the process-wide sink.
@@ -265,10 +220,11 @@ impl Team {
 
     /// Run `f` once per PE and gather results.
     ///
-    /// Under [`ExecMode::Thread`] each PE is an OS thread; under
-    /// [`ExecMode::Event`] each PE is a coroutine resumed by a
-    /// single-threaded event loop. `f` is shared by reference; per-PE
-    /// mutable state lives in the [`Ctx`]. Panics in any PE propagate.
+    /// Under a cooperative policy each PE is a coroutine on the calling
+    /// thread, resumed by the event core ([`CoopSched::drive`]); under
+    /// [`SchedPolicy::Os`] each PE is a free-running OS thread. `f` is
+    /// shared by reference; per-PE mutable state lives in the [`Ctx`].
+    /// Panics in any PE propagate.
     pub fn run<R, F>(&self, f: F) -> TeamRun<R>
     where
         R: Send,
@@ -294,21 +250,6 @@ impl Team {
         F: Fn(&mut Ctx) -> R + Sync,
     {
         let pes = self.machine.pes();
-        // SchedPolicy::Os *means* free-running OS threads, so the event
-        // backend cannot apply; everything else keeps the requested mode.
-        let exec = match self.sched {
-            SchedPolicy::Os => ExecMode::Thread,
-            _ => self.exec,
-        };
-        if exec == ExecMode::Thread {
-            assert!(
-                pes <= thread_pe_cap(),
-                "a {pes}-PE team exceeds the {}-thread cap of ExecMode::Thread; \
-                 run it on the event backend (--exec event / O2K_EXEC=event) \
-                 or raise O2K_THREAD_PE_CAP if you really want {pes} OS threads",
-                thread_pe_cap()
-            );
-        }
         let coop = match self.sched {
             SchedPolicy::Os => None,
             policy => {
@@ -316,7 +257,7 @@ impl Team {
                 // Gate 0 is the team-wide rendezvous; gate 1+n is node n's.
                 let mut gates = vec![pes];
                 gates.extend((0..topo.nodes()).map(|n| topo.pes_on_node(n).count()));
-                Some(Arc::new(CoopSched::with_exec(pes, policy, gates, exec)))
+                Some(Arc::new(CoopSched::new(pes, policy, gates)))
             }
         };
         if let Some(res) = &resume {
@@ -357,16 +298,9 @@ impl Team {
         }
         let mut out: Vec<Option<(R, PeReport)>> = (0..pes).map(|_| None).collect();
 
-        // The per-PE body is identical in both backends; only the vehicle
-        // (thread vs coroutine) differs.
-        let body = |pe: usize, slot: &mut Option<(R, PeReport)>| {
-            let guard = PoisonOnPanic {
-                coop: coop.clone(),
-                pe,
-            };
-            if let Some(cs) = &coop {
-                cs.register(pe);
-            }
+        // The per-PE body is the same on both vehicles; it returns the
+        // PE's final clock for the scheduler's `finish`.
+        let body = |pe: usize, slot: &mut Option<(R, PeReport)>| -> SimTime {
             let mut ctx = Ctx::new(
                 pe,
                 Arc::clone(&self.machine),
@@ -378,19 +312,21 @@ impl Team {
                 ctx.apply_core(&res.cores[pe]);
             }
             let r = f(&mut ctx);
-            if let Some(cs) = &coop {
-                cs.finish(pe, ctx.now());
-            }
-            drop(guard);
+            let now = ctx.now();
             *slot = Some((r, ctx.into_report()));
+            now
         };
-
-        match exec {
-            ExecMode::Thread => self.drive_threads(pes, &mut out, &body),
-            ExecMode::Event => {
-                let cs = coop.as_ref().expect("event mode always has a CoopSched");
-                Self::drive_events(cs, &mut out, &body);
-            }
+        let body = &body;
+        let outcome = match &coop {
+            Some(cs) => cs.drive(
+                out.iter_mut()
+                    .enumerate()
+                    .map(|(pe, slot)| move || body(pe, slot)),
+            ),
+            None => drive_threads(&mut out, body),
+        };
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
         }
 
         let mut results = Vec::with_capacity(pes);
@@ -411,106 +347,28 @@ impl Team {
         }
         run
     }
-
-    /// Thread backend: one scoped OS thread per PE.
-    fn drive_threads<R: Send>(
-        &self,
-        pes: usize,
-        out: &mut [Option<(R, PeReport)>],
-        body: &(impl Fn(usize, &mut Option<(R, PeReport)>) + Sync),
-    ) {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(pes);
-            for (pe, slot) in out.iter_mut().enumerate() {
-                handles.push(scope.spawn(move || body(pe, slot)));
-            }
-            // Join everyone. Under a cooperative policy a panicking PE
-            // poisons the scheduler and its peers unwind with POISON_MSG;
-            // propagate the *original* panic, not a secondary one.
-            let mut first: Option<Box<dyn Any + Send>> = None;
-            let mut first_is_secondary = false;
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    prefer_primary_panic(&mut first, &mut first_is_secondary, payload);
-                }
-            }
-            if let Some(payload) = first {
-                std::panic::resume_unwind(payload);
-            }
-        });
-    }
-
-    /// Event backend: every PE is a coroutine; this loop *is* the
-    /// machine. Resume each PE once so it registers with the scheduler
-    /// (it suspends until granted the floor), then keep resuming
-    /// whichever PE the last `hand_off` granted. A panicking or
-    /// deadlocking PE poisons the scheduler exactly as under threads; the
-    /// loop then unwinds every surviving coroutine (their `wait_for_floor`
-    /// re-check raises POISON_MSG) so all stack frames drop cleanly, and
-    /// propagates the original payload.
-    fn drive_events<R>(
-        cs: &Arc<CoopSched>,
-        out: &mut [Option<(R, PeReport)>],
-        body: &impl Fn(usize, &mut Option<(R, PeReport)>),
-    ) {
-        let stack = coro::stack_bytes();
-        let mut coros: Vec<coro::Coro> = out
-            .iter_mut()
-            .enumerate()
-            .map(|(pe, slot)| coro::Coro::new(stack, move || body(pe, slot)))
-            .collect();
-        for c in &mut coros {
-            if cs.is_poisoned() {
-                break;
-            }
-            c.resume();
-        }
-        while !cs.is_poisoned() {
-            match cs.event_take_next() {
-                Some(p) => {
-                    coros[p].resume();
-                }
-                None => break,
-            }
-        }
-        if cs.is_poisoned() {
-            for c in &mut coros {
-                if c.started() && !c.finished() {
-                    c.resume();
-                }
-            }
-        }
-        let mut first: Option<Box<dyn Any + Send>> = None;
-        let mut first_is_secondary = false;
-        for c in &mut coros {
-            if let Some(payload) = c.take_panic() {
-                prefer_primary_panic(&mut first, &mut first_is_secondary, payload);
-            }
-        }
-        drop(coros);
-        if let Some(payload) = first {
-            std::panic::resume_unwind(payload);
-        }
-    }
 }
 
-/// Keep the first panic payload, upgrading a secondary POISON_MSG payload
-/// to a later primary one (the PE that actually hit the bug).
-fn prefer_primary_panic(
-    first: &mut Option<Box<dyn Any + Send>>,
-    first_is_secondary: &mut bool,
-    payload: Box<dyn Any + Send>,
-) {
-    let secondary = payload
-        .downcast_ref::<String>()
-        .is_some_and(|s| s.contains(POISON_MSG))
-        || payload
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains(POISON_MSG));
-    if first.is_none() || (*first_is_secondary && !secondary) {
-        *first = Some(payload);
-        *first_is_secondary = secondary;
-    }
+/// [`SchedPolicy::Os`]: one free-running scoped OS thread per PE. Returns
+/// the first PE panic, if any.
+fn drive_threads<R: Send>(
+    out: &mut [Option<(R, PeReport)>],
+    body: &(impl Fn(usize, &mut Option<(R, PeReport)>) -> SimTime + Sync),
+) -> Result<(), Box<dyn Any + Send>> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = out
+            .iter_mut()
+            .enumerate()
+            .map(|(pe, slot)| scope.spawn(move || body(pe, slot)))
+            .collect();
+        let mut first = Ok(());
+        for h in handles {
+            if let Err(payload) = h.join() {
+                first = first.and(Err(payload));
+            }
+        }
+        first
+    })
 }
 
 #[cfg(test)]
@@ -588,41 +446,9 @@ mod tests {
         assert_eq!(run.reports[0].finish, run.reports[1].finish);
     }
 
-    /// A det workload exercising compute, barriers, RNG and locks — run
-    /// it on both backends and the whole TeamRun must agree.
-    fn backend_pair(pes: usize) -> (TeamRun<u64>, TeamRun<u64>) {
-        let body = |ctx: &mut Ctx| {
-            let mut acc = 0u64;
-            for round in 0..4 {
-                acc = acc.wrapping_mul(31).wrapping_add(ctx.rng_u64());
-                ctx.compute(100 + (ctx.pe() as u64 * 13 + round * 7) % 50);
-                ctx.barrier();
-            }
-            acc
-        };
-        let thread = team(pes).sched(SchedPolicy::Det).run(body);
-        let event = team(pes)
-            .sched(SchedPolicy::Det)
-            .exec(ExecMode::Event)
-            .run(body);
-        (thread, event)
-    }
-
     #[test]
-    fn event_backend_matches_thread_backend_bitwise() {
-        let (t, e) = backend_pair(4);
-        assert_eq!(t.results, e.results);
-        assert_eq!(t.sim_time(), e.sim_time());
-        assert_eq!(t.merged_counters(), e.merged_counters());
-        assert_eq!(t.merged_breakdown(), e.merged_breakdown());
-        let (ts, es) = (t.sched.unwrap(), e.sched.unwrap());
-        assert_eq!(ts.fingerprint, es.fingerprint, "same pick sequence");
-        assert_eq!(ts.switches, es.switches);
-    }
-
-    #[test]
-    fn event_backend_runs_1024_pes() {
-        let t = team(1024).sched(SchedPolicy::Det).exec(ExecMode::Event);
+    fn runs_1024_pes() {
+        let t = team(1024).sched(SchedPolicy::Det);
         let run = t.run(|ctx| {
             ctx.compute(10 + ctx.pe() as u64 % 3);
             ctx.barrier();
@@ -633,21 +459,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_backend_refuses_oversized_teams() {
-        // Pin the backend: this test is about Thread's cap, and must not be
-        // flipped onto the event backend by an ambient O2K_EXEC=event.
-        let t = team(1024).sched(SchedPolicy::Det).exec(ExecMode::Thread);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.run(|ctx| ctx.pe());
-        }))
-        .expect_err("1024 OS threads must be refused");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("--exec event"), "unhelpful refusal: {msg}");
-    }
-
-    #[test]
-    fn event_backend_propagates_pe_panics() {
-        let t = team(3).sched(SchedPolicy::Det).exec(ExecMode::Event);
+    fn pe_panics_propagate_the_original_payload() {
+        let t = team(3).sched(SchedPolicy::Det);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             t.run(|ctx| {
                 if ctx.pe() == 1 {
@@ -665,14 +478,22 @@ mod tests {
         assert!(msg.contains("pe 1 exploded"), "wrong payload: {msg}");
     }
 
+    /// Cooperative policies run the whole team on the calling thread;
+    /// `os` runs one free OS thread per PE and builds no scheduler.
     #[test]
-    fn event_os_policy_falls_back_to_threads() {
-        // Os *means* free-running threads; requesting event must not hang
-        // or panic, just run the thread backend.
-        let t = team(2).sched(SchedPolicy::Os).exec(ExecMode::Event);
-        let run = t.run(|ctx| ctx.pe() * 2);
-        assert_eq!(run.results, vec![0, 2]);
-        assert!(run.sched.is_none());
+    fn only_the_os_policy_spawns_threads() {
+        let caller = std::thread::current().id();
+        let on_caller = |policy| {
+            team(3)
+                .sched(policy)
+                .run(|_| std::thread::current().id() == caller)
+        };
+        let det = on_caller(SchedPolicy::Det);
+        assert_eq!(det.results, vec![true; 3]);
+        assert!(det.sched.is_some());
+        let os = on_caller(SchedPolicy::Os);
+        assert_eq!(os.results, vec![false; 3]);
+        assert!(os.sched.is_none());
     }
 
     /// One round of the resume-test workload: an RNG draw, a PE- and

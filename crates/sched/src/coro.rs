@@ -1,7 +1,7 @@
-//! Minimal stackful coroutines for the single-threaded event backend.
+//! Minimal stackful coroutines for the single-threaded event core.
 //!
-//! [`ExecMode::Event`](crate::ExecMode::Event) runs every PE of a team as
-//! a resumable task on one OS thread. Each task needs its own call stack —
+//! [`CoopSched::drive`](crate::CoopSched::drive) runs every PE of a team
+//! as a resumable task on one OS thread. Each task needs its own call stack —
 //! the PE bodies are arbitrary deep-recursing application code, not state
 //! machines — so this module vendors the one primitive the standard
 //! library does not offer: a user-space stack switch.
@@ -24,7 +24,7 @@
 //! Panics never unwind across a switch: the task's panic runs down its own
 //! stack into the `catch_unwind` in [`trampoline`], is parked as a
 //! payload, and the driver decides what to propagate — mirroring what
-//! `JoinHandle::join` gives the thread backend.
+//! `JoinHandle::join` gives a spawned thread.
 //!
 //! Stacks are heap allocations (lazily committed by the OS, so a
 //! 1024-task team costs address space, not resident memory) without guard
@@ -63,8 +63,8 @@ pub fn stack_bytes() -> usize {
 }
 
 /// Whether this build carries a stack switch for the host architecture.
-/// On unsupported targets [`Coro::new`] panics and
-/// [`ExecMode::Event`](crate::ExecMode::Event) is unavailable.
+/// On unsupported targets [`Coro::new`] panics, so only
+/// [`SchedPolicy::Os`](crate::SchedPolicy::Os) teams can run.
 pub const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
 
 // ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ extern "C" {
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 #[allow(clippy::missing_safety_doc)]
 unsafe fn o2k_coro_switch(_save: *mut *mut u8, _target: *mut u8) {
-    unreachable!("ExecMode::Event has no stack switch for this architecture");
+    unreachable!("the event core has no stack switch for this architecture");
 }
 
 // ---------------------------------------------------------------------------
@@ -298,8 +298,8 @@ fn bootstrap(stack_top: *mut u8) -> *mut u8 {
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 fn bootstrap(_stack_top: *mut u8) -> *mut u8 {
     panic!(
-        "ExecMode::Event needs a stack switch for this architecture \
-         (x86_64 and aarch64 are supported); use --exec thread"
+        "the event core needs a stack switch for this architecture \
+         (x86_64 and aarch64 are supported); use --sched os"
     );
 }
 

@@ -9,9 +9,9 @@
 //! run (EXPERIMENTS.md's old D3 deviation).
 //!
 //! This crate replaces free-running threads with **cooperative
-//! virtual-time stepping**: the team still spawns one thread per PE, but
-//! at most one PE holds the *floor* at a time, and every yield point
-//! hands the floor to the runnable PE chosen by a [`SchedPolicy`]:
+//! virtual-time stepping**: at most one PE holds the *floor* at a time,
+//! and every yield point hands the floor to the runnable PE chosen by a
+//! [`SchedPolicy`]:
 //!
 //! * [`SchedPolicy::Det`] — the runnable PE with the lowest simulated
 //!   clock runs next, ties broken by PE id. This is exactly the order a
@@ -26,45 +26,35 @@
 //!   fair with a few adversarial switches" (cf. PCT-style probabilistic
 //!   concurrency testing).
 //! * [`SchedPolicy::Os`] — no floor at all: the seed's free-running
-//!   behaviour, kept as an explicit baseline policy.
+//!   behaviour, kept as an explicit baseline policy. It runs one OS
+//!   thread per PE and never builds a [`CoopSched`].
 //!
 //! The scheduler itself is a [`CoopSched`]: one mutex-protected table of
-//! per-PE states plus one condvar per PE. PEs `register` at spawn (the
-//! first pick happens once everyone arrived), `yield_now` at instrumented
-//! points, `block`/`unblock` around mailbox and lock waits, rendezvous on
-//! `gate_wait` (barriers), and `finish` at the end. A panicking PE
-//! `poison`s the scheduler so every blocked peer wakes and unwinds
-//! instead of hanging the team.
+//! per-PE states. PEs register when they start (the first pick happens
+//! once everyone arrived), `yield_now` at instrumented points,
+//! `block`/`unblock` around mailbox and lock waits, rendezvous on
+//! `gate_wait` (barriers), and finish at the end. A panicking PE poisons
+//! the scheduler so every blocked peer unwinds instead of hanging the
+//! team.
 //!
 //! Everything here is *simulation machinery*: it decides host execution
 //! order only, and never charges virtual time itself.
 //!
-//! ## Execution backends
+//! ## The execution core
 //!
-//! The protocol above says nothing about *how* a PE waits for the floor,
-//! and that choice is the [`ExecMode`]:
-//!
-//! * [`ExecMode::Thread`] — one OS thread per PE; a PE without the floor
-//!   parks on its condvar. Simple, but a P-PE team costs P stacks of
-//!   resident memory and every handoff is a kernel round trip, which
-//!   caps practical team sizes near the paper's 64 CPUs.
-//! * [`ExecMode::Event`] — every PE is a stackful coroutine
-//!   ([`coro`]) on **one** OS thread, driven by a discrete-event loop: a
-//!   binary heap keyed on `(virtual clock, PE id)` yields the next PE to
-//!   resume, and "waiting for the floor" is a ~20 ns user-space stack
-//!   switch. This is the corten-style simulation core that reaches
-//!   P=1024 and beyond.
-//!
-//! Under any cooperative policy at most one PE runs at a time, so the two
-//! backends execute the *same* logical schedule: the pick sequence is
-//! produced by the same [`CoopSched::hand_off`] code either way, and
-//! `det` runs are bitwise identical between backends (enforced by the
-//! cross-backend golden tests).
+//! Every cooperative policy runs on one event core. Each PE is a stackful
+//! coroutine ([`coro`]) on the calling OS thread, and [`CoopSched::drive`]
+//! is the discrete-event loop that resumes them: an indexed binary heap
+//! keyed on `(virtual clock, PE id)` yields the next PE under `det`, and
+//! "waiting for the floor" is a ~20 ns user-space stack switch. This is
+//! the corten-style simulation core that reaches P=1024 and beyond; a
+//! P-PE team costs P lazily-committed coroutine stacks, not P OS threads.
 
+use std::any::Any;
 use std::sync::OnceLock;
 
 use machine::SimTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -154,81 +144,6 @@ impl std::fmt::Display for SchedPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Execution backend
-// ---------------------------------------------------------------------------
-
-/// How a team's PEs are executed on the host. Orthogonal to
-/// [`SchedPolicy`], which decides *which* PE runs next; the exec mode
-/// decides what a PE *is* (an OS thread or a coroutine). See the crate
-/// docs for the trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One OS thread per PE, condvar handoffs (the pre-event behaviour
-    /// and the only mode that supports [`SchedPolicy::Os`]).
-    #[default]
-    Thread,
-    /// One OS thread total: PEs are stackful coroutines resumed by a
-    /// binary-heap event loop in virtual-time order.
-    Event,
-}
-
-impl ExecMode {
-    /// Parse the `--exec` / `O2K_EXEC` syntax: `thread` or `event`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim() {
-            "thread" => Ok(ExecMode::Thread),
-            "event" => Ok(ExecMode::Event),
-            other => Err(format!(
-                "unknown exec mode {other:?} (expected thread or event)"
-            )),
-        }
-    }
-}
-
-impl std::str::FromStr for ExecMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        ExecMode::parse(s)
-    }
-}
-
-impl std::fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExecMode::Thread => write!(f, "thread"),
-            ExecMode::Event => write!(f, "event"),
-        }
-    }
-}
-
-static EXEC_OVERRIDE: std::sync::Mutex<Option<ExecMode>> = std::sync::Mutex::new(None);
-
-fn env_exec() -> ExecMode {
-    static ENV: OnceLock<ExecMode> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("O2K_EXEC")
-            .ok()
-            .and_then(|s| ExecMode::parse(&s).ok())
-            .unwrap_or(ExecMode::Thread)
-    })
-}
-
-/// The exec mode a `Team` uses when none is set explicitly: the last
-/// [`set_default_exec`] value, else `O2K_EXEC` from the environment, else
-/// [`ExecMode::Thread`].
-pub fn default_exec() -> ExecMode {
-    let g = EXEC_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.unwrap_or_else(env_exec)
-}
-
-/// Override the process-wide default exec mode (the `repro` binary's
-/// `--exec` flag and the cross-backend test harness).
-pub fn set_default_exec(e: ExecMode) {
-    *EXEC_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
-}
-
-// ---------------------------------------------------------------------------
 // Process-wide default policy
 // ---------------------------------------------------------------------------
 
@@ -301,7 +216,7 @@ enum Chooser {
 const HEAP_ABSENT: usize = usize::MAX;
 
 /// Fixed-capacity indexed binary min-heap over `(clock, pe)` keys — the
-/// event backend's pending-PE set.
+/// event core's pending-PE set.
 ///
 /// The original event core used `BinaryHeap<Reverse<(clock, pe, stamp)>>`
 /// with lazy invalidation: every wake pushed a fresh entry and bumped a
@@ -500,17 +415,13 @@ struct Inner {
     gates: Vec<Gate>,
     switches: u64,
     fingerprint: u64,
-    /// Event backend only — the heap-based det picker and the pending
-    /// resume the single-threaded driver consumes. Unused (empty/None)
-    /// under the thread backend, whose det picker is the linear scan.
-    event: bool,
     /// Pending PEs keyed `(clock, pe)`, exactly the `Runnable` set: PEs
     /// are inserted on wake and removed *exactly* when they leave
     /// `Runnable`, so the top entry is always the det pick with no stale
     /// tombstones to skip and no allocation after construction.
     heap: PeHeap,
-    /// The PE the event driver must resume next, set by `hand_off` when
-    /// the floor goes to a PE other than the caller.
+    /// The PE [`CoopSched::drive`] must resume next, set by `hand_off`
+    /// when the floor goes to a PE other than the caller.
     next_resume: Option<usize>,
     /// One-shot direct grant consumed by the first `hand_off` after a
     /// [`CoopSched::preseed_resume`]: the floor goes straight to the PE
@@ -530,33 +441,19 @@ impl Inner {
     }
 
     /// Transition `pe` to `Runnable` with its clock already final,
-    /// scheduling it in the event heap when that backend is active.
+    /// scheduling it in the event heap.
     fn make_runnable(&mut self, pe: usize) {
         self.status[pe] = Status::Runnable;
-        if self.event {
-            self.heap.insert_or_update(pe, self.clock[pe]);
-        }
-    }
-
-    /// Drop `pe`'s heap entry as it leaves `Runnable` (picked to run, or
-    /// force-finished by poison — the latter may find no entry).
-    fn leave_runnable(&mut self, pe: usize) {
-        if self.event {
-            self.heap.remove(pe);
-        }
+        self.heap.insert_or_update(pe, self.clock[pe]);
     }
 
     /// Virtual-time order: lowest clock, ties to the lowest PE id.
     ///
-    /// The thread backend scans the status table (P ≤ a few dozen). The
-    /// event backend peeks the indexed heap — O(1), since exact removal
-    /// keeps every entry live — without consuming the winner:
-    /// `BoundedPreempt` may overrule the det base pick, and the chosen
-    /// PE's entry is removed when it leaves `Runnable`.
+    /// Peeks the indexed heap — O(1), since exact removal keeps every
+    /// entry live — without consuming the winner: `BoundedPreempt` may
+    /// overrule the det base pick, and the chosen PE's entry is removed
+    /// when it leaves `Runnable`.
     fn pick_det(&mut self) -> Option<usize> {
-        if !self.event {
-            return self.runnable().min_by_key(|&p| (self.clock[p], p));
-        }
         let picked = self.heap.peek().map(|(c, p)| {
             debug_assert_eq!(self.status[p], Status::Runnable, "heap entry left behind");
             debug_assert_eq!(c, self.clock[p], "heap entry with stale clock");
@@ -652,34 +549,18 @@ pub struct SchedResume {
 pub struct CoopSched {
     npes: usize,
     policy: SchedPolicy,
-    exec: ExecMode,
     inner: Mutex<Inner>,
-    /// One condvar per PE; PE `p` waits on `cvs[p]` until it holds the
-    /// floor (or the scheduler is poisoned). Thread backend only — under
-    /// [`ExecMode::Event`] a PE without the floor is a suspended
-    /// coroutine and nothing ever waits here.
-    cvs: Vec<Condvar>,
 }
 
 impl CoopSched {
-    /// Build a thread-backend scheduler for `npes` PEs. `gate_sizes[0]`
-    /// is the team-wide rendezvous size (= `npes`); `gate_sizes[1 + n]`
-    /// the PE count of node `n`.
+    /// Build a scheduler for `npes` PEs, to be run by [`Self::drive`].
+    /// `gate_sizes[0]` is the team-wide rendezvous size (= `npes`);
+    /// `gate_sizes[1 + n]` the PE count of node `n`.
     ///
     /// # Panics
     /// Panics on [`SchedPolicy::Os`] (no scheduler is needed) or an empty
     /// team.
     pub fn new(npes: usize, policy: SchedPolicy, gate_sizes: Vec<usize>) -> Self {
-        Self::with_exec(npes, policy, gate_sizes, ExecMode::Thread)
-    }
-
-    /// [`Self::new`] with an explicit execution backend.
-    pub fn with_exec(
-        npes: usize,
-        policy: SchedPolicy,
-        gate_sizes: Vec<usize>,
-        exec: ExecMode,
-    ) -> Self {
         assert!(npes > 0, "empty team");
         let chooser = match policy {
             SchedPolicy::Os => panic!("SchedPolicy::Os does not use a CoopSched"),
@@ -690,11 +571,9 @@ impl CoopSched {
                 budget,
             },
         };
-        let event = exec == ExecMode::Event;
         CoopSched {
             npes,
             policy,
-            exec,
             inner: Mutex::new(Inner {
                 status: vec![Status::Unstarted; npes],
                 clock: vec![0; npes],
@@ -712,23 +591,16 @@ impl CoopSched {
                     .collect(),
                 switches: 0,
                 fingerprint: 0xcbf2_9ce4_8422_2325,
-                event,
-                heap: PeHeap::new(if event { npes } else { 0 }),
+                heap: PeHeap::new(npes),
                 next_resume: None,
                 resume_grant: None,
             }),
-            cvs: (0..npes).map(|_| Condvar::new()).collect(),
         }
     }
 
     /// The policy this scheduler runs.
     pub fn policy(&self) -> SchedPolicy {
         self.policy
-    }
-
-    /// The execution backend this scheduler was built for.
-    pub fn exec(&self) -> ExecMode {
-        self.exec
     }
 
     /// Run statistics so far (final once the team joined).
@@ -813,10 +685,10 @@ impl CoopSched {
         inner.clock.copy_from_slice(clocks);
     }
 
-    /// Hand the floor to the next runnable PE. The caller must already
-    /// have moved `pe` out of `Running`. Returns true if the floor went
-    /// to a different PE (the caller must then [`Self::wait_for_floor`]
-    /// unless it is done).
+    /// Hand the floor to the next runnable PE and queue it for
+    /// [`Self::drive`] to resume. The caller must already have moved `pe`
+    /// out of `Running`. Returns true if the floor went to a different PE
+    /// (the caller must then [`Self::wait_for_floor`] unless it is done).
     fn hand_off(&self, inner: &mut Inner, pe: usize) -> bool {
         // A pending resume grant replays the pick the snapshot already
         // accounted (its fingerprint/switch effects are in the preseeded
@@ -838,10 +710,9 @@ impl CoopSched {
             Some(next) => {
                 // Count switches against the previous floor holder, not
                 // the caller: during `register` no one holds the floor
-                // yet and which thread happens to register last is OS
-                // timing, so the initial grant must never count.
+                // yet, so the initial grant must never count.
                 let prev = inner.current;
-                inner.leave_runnable(next);
+                inner.heap.remove(next);
                 inner.status[next] = Status::Running;
                 inner.current = Some(next);
                 if granted.is_none() {
@@ -854,18 +725,11 @@ impl CoopSched {
                 if next == pe {
                     false
                 } else {
-                    // Grant delivery is the only backend-specific line in
-                    // the whole scheduler: wake the winner's parked
-                    // thread, or queue it for the event driver to resume.
-                    if inner.event {
-                        debug_assert!(
-                            inner.next_resume.is_none(),
-                            "two floor grants pending at once"
-                        );
-                        inner.next_resume = Some(next);
-                    } else {
-                        self.cvs[next].notify_all();
-                    }
+                    debug_assert!(
+                        inner.next_resume.is_none(),
+                        "two floor grants pending at once"
+                    );
+                    inner.next_resume = Some(next);
                     true
                 }
             }
@@ -881,9 +745,6 @@ impl CoopSched {
                         .map(|(p, s)| format!("PE {p}: {s:?} @ {} ns", inner.clock[p]))
                         .collect();
                     inner.poisoned = true;
-                    for cv in &self.cvs {
-                        cv.notify_all();
-                    }
                     // A PE parked on a dead interconnect link means the
                     // fault plan partitioned the machine — that is the
                     // injected fault working as specified, not mismatched
@@ -912,7 +773,11 @@ impl CoopSched {
         }
     }
 
-    /// Wait until `pe` holds the floor (or panic if poisoned).
+    /// Wait until `pe` holds the floor (or panic if poisoned): suspend
+    /// this PE's coroutine until [`Self::drive`] resumes it after a
+    /// hand_off granted it the floor (or poison makes the re-check unwind
+    /// it). Never suspends holding the scheduler lock — the driver and
+    /// the granted PE need it.
     fn wait_for_floor<'a>(&'a self, mut inner: parking_lot::MutexGuard<'a, Inner>, pe: usize) {
         loop {
             if inner.poisoned {
@@ -922,23 +787,15 @@ impl CoopSched {
             if inner.status[pe] == Status::Running {
                 return;
             }
-            if self.exec == ExecMode::Event {
-                // Suspend this PE's coroutine; the driver resumes it once
-                // a hand_off grants it the floor (or poison makes the
-                // re-check above unwind it). Never suspend holding the
-                // scheduler lock — the driver and the granted PE need it.
-                drop(inner);
-                coro::yield_current();
-                inner = self.inner.lock();
-            } else {
-                self.cvs[pe].wait(&mut inner);
-            }
+            drop(inner);
+            coro::yield_current();
+            inner = self.inner.lock();
         }
     }
 
-    /// Called once per PE at thread start. Blocks until all PEs have
-    /// registered and this PE is picked to run.
-    pub fn register(&self, pe: usize) {
+    /// Called once per PE as its coroutine starts. Suspends until all PEs
+    /// have registered and this PE is picked to run.
+    fn register(&self, pe: usize) {
         let mut inner = self.inner.lock();
         assert_eq!(
             inner.status[pe],
@@ -1015,8 +872,8 @@ impl CoopSched {
     }
 
     /// Called when `pe`'s program function returns. Hands the floor on
-    /// without waiting; the thread is free to finalise its report.
-    pub fn finish(&self, pe: usize, clock: SimTime) {
+    /// without waiting.
+    fn finish(&self, pe: usize, clock: SimTime) {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
         inner.status[pe] = Status::Done;
@@ -1028,49 +885,118 @@ impl CoopSched {
         }
     }
 
-    /// Called from a panicking PE's unwind path: wake everyone so blocked
-    /// peers raise [`POISON_MSG`] panics instead of hanging the join.
-    pub fn poison(&self, pe: usize) {
+    /// Called from a panicking PE's unwind path: once the driver sees
+    /// the flag it resumes every blocked peer, which raises
+    /// [`POISON_MSG`] instead of hanging the team.
+    fn poison(&self, pe: usize) {
         let mut inner = self.inner.lock();
         if inner.status[pe] != Status::Done {
-            inner.leave_runnable(pe);
+            // Force-finished PEs may have no heap entry; `remove`
+            // tolerates that.
+            inner.heap.remove(pe);
             inner.status[pe] = Status::Done;
             inner.done += 1;
         }
         inner.poisoned = true;
-        for cv in &self.cvs {
-            cv.notify_all();
+    }
+
+    // -- The event core -----------------------------------------------------
+
+    /// Run the team on the calling thread. PE `pe` executes `bodies[pe]`
+    /// as a coroutine, and this loop *is* the machine: resume each PE once
+    /// so it registers (it suspends until granted the floor), then keep
+    /// resuming whichever PE the last hand_off granted. Each body returns
+    /// the PE's final virtual clock.
+    ///
+    /// A panicking or deadlocking PE poisons the scheduler; the loop then
+    /// resumes every surviving coroutine so its `wait_for_floor` re-check
+    /// raises [`POISON_MSG`] and all stack frames drop cleanly. The error
+    /// is the payload to propagate: the PE that actually hit the bug,
+    /// preferred over the secondary [`POISON_MSG`] panics of its peers.
+    ///
+    /// # Panics
+    /// Panics unless there is exactly one body per PE.
+    pub fn drive<'a, F>(
+        &self,
+        bodies: impl IntoIterator<Item = F>,
+    ) -> Result<(), Box<dyn Any + Send>>
+    where
+        F: FnOnce() -> SimTime + 'a,
+    {
+        let stack = coro::stack_bytes();
+        let mut coros: Vec<coro::Coro<'_>> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(pe, body)| coro::Coro::new(stack, move || self.run_pe(pe, body)))
+            .collect();
+        assert_eq!(coros.len(), self.npes, "one body per PE");
+        for c in &mut coros {
+            if self.is_poisoned() {
+                break;
+            }
+            c.resume();
         }
+        while !self.is_poisoned() {
+            let next = self.inner.lock().next_resume.take();
+            match next {
+                Some(p) => coros[p].resume(),
+                None => break,
+            };
+        }
+        if self.is_poisoned() {
+            for c in &mut coros {
+                if c.started() && !c.finished() {
+                    c.resume();
+                }
+            }
+        }
+        let mut payloads: Vec<Box<dyn Any + Send>> =
+            coros.iter_mut().filter_map(|c| c.take_panic()).collect();
+        if payloads.is_empty() {
+            return Ok(());
+        }
+        let primary = payloads.iter().position(|p| !is_poison(p)).unwrap_or(0);
+        Err(payloads.swap_remove(primary))
     }
 
-    // -- Event-driver interface ---------------------------------------------
-    //
-    // Under [`ExecMode::Event`] one plain loop on the team's only thread
-    // drives everything (see `parallel::team`): resume each PE coroutine
-    // once so it registers, then repeatedly resume whichever PE the last
-    // hand_off granted the floor to. These two accessors are that loop's
-    // entire view of the scheduler.
-
-    /// Take the pending floor grant, if any. `None` means no PE is
-    /// waiting to be resumed: either the currently-running PE kept the
-    /// floor, or the team is finished (or poisoned — check
-    /// [`Self::is_poisoned`]).
-    pub fn event_take_next(&self) -> Option<usize> {
-        self.inner.lock().next_resume.take()
+    /// One PE's coroutine: register, run the body, finish — poisoning the
+    /// scheduler if the body unwinds so blocked peers unwind too.
+    fn run_pe(&self, pe: usize, body: impl FnOnce() -> SimTime) {
+        struct PoisonOnPanic<'s>(&'s CoopSched, usize);
+        impl Drop for PoisonOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.poison(self.1);
+                }
+            }
+        }
+        let _guard = PoisonOnPanic(self, pe);
+        self.register(pe);
+        let clock = body();
+        self.finish(pe, clock);
     }
 
-    /// Whether a PE panicked or a deadlock was detected. The event driver
-    /// polls this to know it must unwind the surviving coroutines.
-    pub fn is_poisoned(&self) -> bool {
+    /// Whether a PE panicked or a deadlock was detected.
+    fn is_poisoned(&self) -> bool {
         self.inner.lock().poisoned
     }
+}
+
+/// Whether a panic payload is the secondary [`POISON_MSG`] a PE unwinds
+/// with because a peer failed.
+fn is_poison(payload: &Box<dyn Any + Send>) -> bool {
+    payload
+        .downcast_ref::<String>()
+        .is_some_and(|s| s.contains(POISON_MSG))
+        || payload
+            .downcast_ref::<&str>()
+            .is_some_and(|s| s.contains(POISON_MSG))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn policy_parse_roundtrip() {
@@ -1126,74 +1052,40 @@ mod tests {
         }
     }
 
-    /// Drive a scheduler from real threads: each PE appends its id to a
-    /// shared log at every step, with per-step virtual clocks chosen so
-    /// Det has a unique correct order.
-    fn run_logged(policy: SchedPolicy, npes: usize, steps: usize) -> (Vec<usize>, SchedStats) {
-        let sched = Arc::new(CoopSched::new(npes, policy, vec![npes]));
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            for pe in 0..npes {
-                let sched = Arc::clone(&sched);
-                let log = Arc::clone(&log);
-                scope.spawn(move || {
-                    sched.register(pe);
-                    let mut clock = 0u64;
-                    for step in 0..steps {
-                        log.lock().push(pe);
-                        // Distinct increments ⇒ a unique min-clock order.
-                        clock += 10 + (pe as u64) + (step as u64 % 3);
-                        sched.yield_now(pe, clock);
-                    }
-                    sched.finish(pe, clock);
-                });
-            }
-        });
-        let stats = sched.stats();
-        (Arc::try_unwrap(log).unwrap().into_inner(), stats)
+    /// Drive `sched` with the same body on every PE.
+    fn drive(
+        sched: &CoopSched,
+        body: impl Fn(usize) -> SimTime,
+    ) -> Result<(), Box<dyn Any + Send>> {
+        let body = &body;
+        sched.drive((0..sched.npes).map(|pe| move || body(pe)))
     }
 
-    /// The same logged workload as [`run_logged`], but on the event
-    /// backend: one coroutine per PE, driven by the minimal event loop
-    /// the `parallel` team driver also implements.
-    fn run_logged_event(
-        policy: SchedPolicy,
-        npes: usize,
-        steps: usize,
-    ) -> (Vec<usize>, SchedStats) {
-        let sched = Arc::new(CoopSched::with_exec(
-            npes,
-            policy,
-            vec![npes],
-            ExecMode::Event,
-        ));
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut coros: Vec<coro::Coro> = (0..npes)
-            .map(|pe| {
-                let sched = Arc::clone(&sched);
-                let log = std::rc::Rc::clone(&log);
-                coro::Coro::new(256 * 1024, move || {
-                    sched.register(pe);
-                    let mut clock = 0u64;
-                    for step in 0..steps {
-                        log.borrow_mut().push(pe);
-                        clock += 10 + (pe as u64) + (step as u64 % 3);
-                        sched.yield_now(pe, clock);
-                    }
-                    sched.finish(pe, clock);
-                })
-            })
-            .collect();
-        for c in &mut coros {
-            c.resume();
-        }
-        while let Some(p) = sched.event_take_next() {
-            coros[p].resume();
-        }
-        assert!(coros.iter().all(|c| c.finished()), "driver exited early");
-        let stats = sched.stats();
-        drop(coros);
-        (std::rc::Rc::try_unwrap(log).unwrap().into_inner(), stats)
+    fn message(payload: Box<dyn Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    /// Each PE appends its id to a shared log at every step, with per-step
+    /// virtual clocks chosen so Det has a unique correct order.
+    fn run_logged(policy: SchedPolicy, npes: usize, steps: usize) -> (Vec<usize>, SchedStats) {
+        let sched = CoopSched::new(npes, policy, vec![npes]);
+        let log = RefCell::new(Vec::new());
+        drive(&sched, |pe| {
+            let mut clock = 0u64;
+            for step in 0..steps {
+                log.borrow_mut().push(pe);
+                // Distinct increments ⇒ a unique min-clock order.
+                clock += 10 + (pe as u64) + (step as u64 % 3);
+                sched.yield_now(pe, clock);
+            }
+            clock
+        })
+        .expect("no PE panics");
+        (log.into_inner(), sched.stats())
     }
 
     #[test]
@@ -1224,226 +1116,10 @@ mod tests {
     }
 
     #[test]
-    fn floor_is_exclusive() {
-        // A counter that would be racy under real parallelism: each PE
-        // does read-modify-write with a yield in the middle. Under the
-        // cooperative floor the interleaving is serialised at yield
-        // points only, so the Det schedule gives a deterministic result.
-        let npes = 4;
-        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det, vec![npes]));
-        let cell = Arc::new(AtomicU64::new(0));
-        let in_crit = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for pe in 0..npes {
-                let sched = Arc::clone(&sched);
-                let cell = Arc::clone(&cell);
-                let in_crit = Arc::clone(&in_crit);
-                scope.spawn(move || {
-                    sched.register(pe);
-                    for i in 0..50u64 {
-                        // No other PE may be between these two fences.
-                        assert_eq!(in_crit.fetch_add(1, Ordering::SeqCst), 0);
-                        cell.fetch_add(1, Ordering::SeqCst);
-                        assert_eq!(in_crit.fetch_sub(1, Ordering::SeqCst), 1);
-                        sched.yield_now(pe, (pe as u64 + 1) * 7 + i * 13);
-                    }
-                    sched.finish(pe, u64::MAX);
-                });
-            }
-        });
-        assert_eq!(cell.load(Ordering::SeqCst), 200);
-    }
-
-    #[test]
-    fn gates_release_only_when_all_arrive() {
-        let npes = 3;
-        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det, vec![npes]));
-        let phase = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for pe in 0..npes {
-                let sched = Arc::clone(&sched);
-                let phase = Arc::clone(&phase);
-                scope.spawn(move || {
-                    sched.register(pe);
-                    for round in 1..=5u64 {
-                        phase.fetch_add(1, Ordering::SeqCst);
-                        sched.gate_wait(0, pe, round * 100 + pe as u64);
-                        // Everyone must have bumped the phase before any
-                        // PE proceeds past the gate.
-                        assert_eq!(phase.load(Ordering::SeqCst), round * npes as u64);
-                        sched.gate_wait(0, pe, round * 100 + 50 + pe as u64);
-                    }
-                    sched.finish(pe, u64::MAX);
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn block_unblock_wrong_reason_is_ignored() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        std::thread::scope(|scope| {
-            {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                scope.spawn(move || {
-                    sched.register(0);
-                    order.lock().push("pe0-blocking");
-                    sched.block(0, 0, BlockReason::Mailbox);
-                    order.lock().push("pe0-woke");
-                    sched.finish(0, 10);
-                });
-            }
-            {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
-                scope.spawn(move || {
-                    sched.register(1);
-                    // Wrong class: must not wake PE 0.
-                    sched.unblock(0, 5, BlockReason::Lock);
-                    sched.yield_now(1, 1);
-                    order.lock().push("pe1-sent");
-                    sched.unblock(0, 5, BlockReason::Mailbox);
-                    sched.yield_now(1, 2);
-                    sched.finish(1, 10);
-                });
-            }
-        });
-        let order = order.lock().clone();
-        let woke = order.iter().position(|s| *s == "pe0-woke").unwrap();
-        let sent = order.iter().position(|s| *s == "pe1-sent").unwrap();
-        assert!(sent < woke, "PE 0 woke before the real unblock: {order:?}");
-    }
-
-    #[test]
-    fn deadlock_is_detected_not_hung() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
-        let result = std::thread::scope(|scope| {
-            let h0 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(0);
-                    // Block forever: nobody will ever unblock us.
-                    sched.block(0, 0, BlockReason::Mailbox);
-                })
-            };
-            let h1 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(1);
-                    sched.block(1, 0, BlockReason::Lock);
-                })
-            };
-            (h0.join(), h1.join())
-        });
-        assert!(
-            result.0.is_err() && result.1.is_err(),
-            "both PEs must unwind"
-        );
-    }
-
-    #[test]
-    fn dead_link_blocks_classify_as_partition() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
-        let (r0, r1) = std::thread::scope(|scope| {
-            let h0 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(0);
-                    // As Ctx does when try_route returns Unreachable.
-                    sched.block(0, 0, BlockReason::DeadLink);
-                })
-            };
-            let h1 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(1);
-                    sched.block(1, 0, BlockReason::Mailbox);
-                })
-            };
-            (h0.join(), h1.join())
-        });
-        let msgs: Vec<String> = [r0, r1]
-            .into_iter()
-            .map(|r| {
-                let p = r.expect_err("both PEs unwind");
-                p.downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default()
-            })
-            .collect();
-        // Exactly one PE raises the classifying panic; the other gets the
-        // poison message. The classifier must say partition, not deadlock.
-        let diag = msgs
-            .iter()
-            .find(|m| *m != POISON_MSG)
-            .expect("one PE carries the diagnostic");
-        assert!(diag.contains("network partition"), "{diag}");
-        assert!(!diag.contains("cooperative scheduler deadlock"), "{diag}");
-        assert!(diag.contains("DeadLink"), "{diag}");
-    }
-
-    #[test]
-    fn poison_wakes_blocked_peers() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
-        let (r0, r1) = std::thread::scope(|scope| {
-            let h0 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(0);
-                    sched.block(0, 0, BlockReason::Mailbox);
-                })
-            };
-            let h1 = {
-                let sched = Arc::clone(&sched);
-                scope.spawn(move || {
-                    sched.register(1);
-                    sched.poison(1); // as a panicking PE's unwind would
-                })
-            };
-            (h0.join(), h1.join())
-        });
-        assert!(r0.is_err(), "blocked peer must unwind after poison");
-        assert!(r1.is_ok());
-    }
-
-    #[test]
-    fn exec_mode_parse_roundtrip() {
-        for e in [ExecMode::Thread, ExecMode::Event] {
-            assert_eq!(ExecMode::parse(&e.to_string()), Ok(e));
-        }
-        assert!(ExecMode::parse("fiber").is_err());
-    }
-
-    #[test]
-    fn event_backend_replays_the_thread_backend_det_schedule() {
-        let (a, sa) = run_logged(SchedPolicy::Det, 4, 20);
-        let (b, sb) = run_logged_event(SchedPolicy::Det, 4, 20);
-        assert_eq!(a, b, "pick sequences must be identical across backends");
-        assert_eq!(sa.fingerprint, sb.fingerprint);
-        assert_eq!(sa.switches, sb.switches);
-    }
-
-    #[test]
-    fn event_backend_replays_seeded_policies_too() {
-        for policy in [
-            SchedPolicy::Explore { seed: 11 },
-            SchedPolicy::BoundedPreempt { seed: 5, budget: 6 },
-        ] {
-            let (a, sa) = run_logged(policy, 3, 30);
-            let (b, sb) = run_logged_event(policy, 3, 30);
-            assert_eq!(a, b, "{policy} diverged across backends");
-            assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    fn event_backend_scales_to_1024_pes() {
-        // The point of the backend: a P=1024 team on one OS thread. Two
-        // steps each keeps it a smoke test, not a benchmark.
-        let (log, stats) = run_logged_event(SchedPolicy::Det, 1024, 2);
+    fn scales_to_1024_pes() {
+        // A P=1024 team on one OS thread. Two steps each keeps it a smoke
+        // test, not a benchmark.
+        let (log, stats) = run_logged(SchedPolicy::Det, 1024, 2);
         assert_eq!(log.len(), 1024 * 2);
         // First sweep is clock-0 ties broken by PE id.
         assert!(log[..1024].iter().copied().eq(0..1024));
@@ -1451,63 +1127,119 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_detects_deadlock_and_unwinds_all_coroutines() {
-        let sched = Arc::new(CoopSched::with_exec(
-            2,
-            SchedPolicy::Det,
-            vec![2],
-            ExecMode::Event,
-        ));
-        let mut coros: Vec<coro::Coro> = (0..2)
-            .map(|pe| {
-                let sched = Arc::clone(&sched);
-                coro::Coro::new(256 * 1024, move || {
-                    sched.register(pe);
-                    let reason = if pe == 0 {
-                        BlockReason::Mailbox
-                    } else {
-                        BlockReason::Lock
-                    };
-                    sched.block(pe, 0, reason); // nobody will unblock us
-                })
-            })
-            .collect();
-        for c in &mut coros {
-            if !sched.is_poisoned() {
-                c.resume();
+    fn floor_is_exclusive() {
+        // Each PE does read-modify-write with a yield in the middle. Only
+        // the floor holder runs between yield points, so no other PE may
+        // be inside the fences and the Det schedule gives a deterministic
+        // result.
+        let npes = 4;
+        let sched = CoopSched::new(npes, SchedPolicy::Det, vec![npes]);
+        let cell = Cell::new(0u64);
+        let in_crit = Cell::new(0u64);
+        drive(&sched, |pe| {
+            for i in 0..50u64 {
+                assert_eq!(in_crit.replace(1), 0);
+                cell.set(cell.get() + 1);
+                assert_eq!(in_crit.replace(0), 1);
+                sched.yield_now(pe, (pe as u64 + 1) * 7 + i * 13);
             }
-        }
-        while !sched.is_poisoned() {
-            match sched.event_take_next() {
-                Some(p) => {
-                    coros[p].resume();
-                }
-                None => break,
+            u64::MAX
+        })
+        .expect("no PE panics");
+        assert_eq!(cell.get(), 200);
+    }
+
+    #[test]
+    fn gates_release_only_when_all_arrive() {
+        let npes = 3;
+        let sched = CoopSched::new(npes, SchedPolicy::Det, vec![npes]);
+        let phase = Cell::new(0u64);
+        drive(&sched, |pe| {
+            for round in 1..=5u64 {
+                phase.set(phase.get() + 1);
+                sched.gate_wait(0, pe, round * 100 + pe as u64);
+                // Everyone must have bumped the phase before any PE
+                // proceeds past the gate.
+                assert_eq!(phase.get(), round * npes as u64);
+                sched.gate_wait(0, pe, round * 100 + 50 + pe as u64);
             }
-        }
-        assert!(sched.is_poisoned(), "deadlock must poison the scheduler");
-        // Unwind the survivors so their stacks are cleanly dropped.
-        for c in &mut coros {
-            if c.started() && !c.finished() {
-                c.resume();
+            u64::MAX
+        })
+        .expect("no PE panics");
+    }
+
+    #[test]
+    fn block_unblock_wrong_reason_is_ignored() {
+        let sched = CoopSched::new(2, SchedPolicy::Det, vec![2]);
+        let order = RefCell::new(Vec::new());
+        drive(&sched, |pe| {
+            if pe == 0 {
+                order.borrow_mut().push("pe0-blocking");
+                sched.block(0, 0, BlockReason::Mailbox);
+                order.borrow_mut().push("pe0-woke");
+            } else {
+                // Wrong class: must not wake PE 0.
+                sched.unblock(0, 5, BlockReason::Lock);
+                sched.yield_now(1, 1);
+                order.borrow_mut().push("pe1-sent");
+                sched.unblock(0, 5, BlockReason::Mailbox);
+                sched.yield_now(1, 2);
             }
-        }
-        let msgs: Vec<String> = coros
-            .iter_mut()
-            .filter_map(|c| c.take_panic())
-            .map(|p| {
-                p.downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default()
-            })
-            .collect();
-        assert_eq!(msgs.len(), 2, "both PEs unwind");
-        let diag = msgs
-            .iter()
-            .find(|m| *m != POISON_MSG)
-            .expect("one PE carries the diagnostic");
+            10
+        })
+        .expect("no PE panics");
+        let order = order.into_inner();
+        let woke = order.iter().position(|s| *s == "pe0-woke").unwrap();
+        let sent = order.iter().position(|s| *s == "pe1-sent").unwrap();
+        assert!(sent < woke, "PE 0 woke before the real unblock: {order:?}");
+    }
+
+    /// Block both PEs for good, one for `reason0` and one on a mailbox;
+    /// returns the diagnostic the team unwinds with.
+    fn stuck_team(reason0: BlockReason) -> String {
+        let sched = CoopSched::new(2, SchedPolicy::Det, vec![2]);
+        let err = drive(&sched, |pe| {
+            let reason = if pe == 0 {
+                reason0
+            } else {
+                BlockReason::Mailbox
+            };
+            sched.block(pe, 0, reason); // nobody will unblock us
+            0
+        })
+        .expect_err("a stuck team must unwind, not hang");
+        // Both coroutines unwound: the driver dropped them without a leak.
+        message(err)
+    }
+
+    #[test]
+    fn deadlock_is_detected_not_hung() {
+        let diag = stuck_team(BlockReason::Lock);
         assert!(diag.contains("cooperative scheduler deadlock"), "{diag}");
+        assert_ne!(diag, POISON_MSG, "the diagnostic wins over the poison");
+    }
+
+    #[test]
+    fn dead_link_blocks_classify_as_partition() {
+        // As Ctx does when try_route returns Unreachable.
+        let diag = stuck_team(BlockReason::DeadLink);
+        assert!(diag.contains("network partition"), "{diag}");
+        assert!(!diag.contains("cooperative scheduler deadlock"), "{diag}");
+        assert!(diag.contains("DeadLink"), "{diag}");
+    }
+
+    #[test]
+    fn poison_unwinds_blocked_peers_and_keeps_the_original_panic() {
+        let sched = CoopSched::new(3, SchedPolicy::Det, vec![3]);
+        let err = drive(&sched, |pe| {
+            if pe == 1 {
+                panic!("pe 1 exploded");
+            }
+            sched.block(pe, 0, BlockReason::Mailbox);
+            0
+        })
+        .expect_err("the panic must propagate");
+        assert_eq!(message(err), "pe 1 exploded");
     }
 
     #[test]
@@ -1525,67 +1257,51 @@ mod tests {
             let steps = 10usize;
             let clock_at = |pe: usize, step: usize| (step as u64 + 1) * 10 + pe as u64 * 3;
 
-            let sched = Arc::new(CoopSched::new(npes, policy, vec![npes]));
-            let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let resume = Arc::new(parking_lot::Mutex::new(None));
-            std::thread::scope(|scope| {
-                for pe in 0..npes {
-                    let sched = Arc::clone(&sched);
-                    let log = Arc::clone(&log);
-                    let resume = Arc::clone(&resume);
-                    scope.spawn(move || {
-                        sched.register(pe);
-                        for step in 0..steps {
-                            log.lock().push((1u8, pe));
-                            sched.yield_now(pe, clock_at(pe, step));
-                        }
-                        sched.gate_wait(0, pe, clock_at(pe, steps));
-                        // First PE past the gate is the floor holder: the
-                        // only place export_resume is legal.
-                        {
-                            let mut r = resume.lock();
-                            if r.is_none() {
-                                *r = Some(sched.export_resume());
-                            }
-                        }
-                        for step in steps..2 * steps {
-                            log.lock().push((2u8, pe));
-                            sched.yield_now(pe, clock_at(pe, step + 1));
-                        }
-                        sched.finish(pe, u64::MAX);
-                    });
+            let sched = CoopSched::new(npes, policy, vec![npes]);
+            let log = RefCell::new(Vec::new());
+            let resume = RefCell::new(None);
+            drive(&sched, |pe| {
+                for step in 0..steps {
+                    log.borrow_mut().push((1u8, pe));
+                    sched.yield_now(pe, clock_at(pe, step));
                 }
-            });
+                sched.gate_wait(0, pe, clock_at(pe, steps));
+                // First PE past the gate is the floor holder: the only
+                // place export_resume is legal.
+                if resume.borrow().is_none() {
+                    *resume.borrow_mut() = Some(sched.export_resume());
+                }
+                for step in steps..2 * steps {
+                    log.borrow_mut().push((2u8, pe));
+                    sched.yield_now(pe, clock_at(pe, step + 1));
+                }
+                u64::MAX
+            })
+            .expect("no PE panics");
             let straight = sched.stats();
             let straight_tail: Vec<usize> = log
-                .lock()
-                .iter()
+                .into_inner()
+                .into_iter()
                 .filter(|(phase, _)| *phase == 2)
-                .map(|(_, pe)| *pe)
+                .map(|(_, pe)| pe)
                 .collect();
-            let resume = resume.lock().take().expect("floor holder exported");
+            let resume = resume.into_inner().expect("floor holder exported");
             assert_eq!(resume.clocks.len(), npes);
 
-            let sched2 = Arc::new(CoopSched::new(npes, policy, vec![npes]));
+            let sched2 = CoopSched::new(npes, policy, vec![npes]);
             sched2.preseed_resume(&resume);
-            let log2 = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            std::thread::scope(|scope| {
-                for pe in 0..npes {
-                    let sched2 = Arc::clone(&sched2);
-                    let log2 = Arc::clone(&log2);
-                    scope.spawn(move || {
-                        sched2.register(pe);
-                        for step in steps..2 * steps {
-                            log2.lock().push(pe);
-                            sched2.yield_now(pe, clock_at(pe, step + 1));
-                        }
-                        sched2.finish(pe, u64::MAX);
-                    });
+            let log2 = RefCell::new(Vec::new());
+            drive(&sched2, |pe| {
+                for step in steps..2 * steps {
+                    log2.borrow_mut().push(pe);
+                    sched2.yield_now(pe, clock_at(pe, step + 1));
                 }
-            });
+                u64::MAX
+            })
+            .expect("no PE panics");
             let resumed = sched2.stats();
             assert_eq!(
-                log2.lock().clone(),
+                log2.into_inner(),
                 straight_tail,
                 "{policy}: resumed tail diverged from the straight run"
             );

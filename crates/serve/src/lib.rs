@@ -252,9 +252,8 @@ pub fn run_sched(
     run_opts(machine, model, cfg, apps::RunOpts::with_sched(sched))
 }
 
-/// [`run`] with full execution options (scheduling policy *and* execution
-/// backend — see [`apps::RunOpts`]). The event backend is how serving
-/// scales past the thread cap to P = 1024 shards.
+/// [`run`] with full execution options (scheduling policy *and* snapshot
+/// request — see [`apps::RunOpts`]).
 pub fn run_opts(
     machine: Arc<Machine>,
     model: Model,
@@ -394,11 +393,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts {
-                        sched: det(),
-                        snap,
-                        ..apps::RunOpts::default()
-                    },
+                    apps::RunOpts { sched: det(), snap },
                 )
             };
             let straight = go(None);
@@ -548,11 +543,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts {
-                        sched: det(),
-                        snap,
-                        ..apps::RunOpts::default()
-                    },
+                    apps::RunOpts { sched: det(), snap },
                 )
             };
             let straight = go(None);
@@ -620,9 +611,8 @@ mod tests {
         /// DONE-token termination for MP serving survives every corner at
         /// once: shedding deadlines, key skew, and all three mitigation
         /// modes — requests are conserved, no replica or stealer PE
-        /// strands a message (asserted inside `mp::run_opts`), and the
-        /// deterministic fingerprint is identical on the thread and event
-        /// backends.
+        /// strands a message (asserted inside `mp::run_opts`), and a second
+        /// deterministic run replays the first exactly.
         #[test]
         fn mp_done_termination_under_shedding_skew_and_mitigation(
             seed in 0u64..500,
@@ -644,25 +634,19 @@ mod tests {
                 seed,
                 ..ServeConfig::small()
             };
-            let thread = run_opts(
-                queued_machine(4), Model::Mp, &cfg,
-                apps::RunOpts::with_sched(det()),
-            );
-            let event = run_opts(
-                queued_machine(4), Model::Mp, &cfg,
-                apps::RunOpts::det_event(),
-            );
-            for m in [&thread, &event] {
+            let go = || run_opts(queued_machine(4), Model::Mp, &cfg, apps::RunOpts::det_event());
+            let (first, again) = (go(), go());
+            for m in [&first, &again] {
                 let s = m.serve.as_ref().unwrap();
                 prop_assert_eq!(s.issued, cfg.requests);
                 prop_assert_eq!(s.issued, s.completed + s.failed, "conservation");
             }
-            prop_assert_eq!(thread.checksum, event.checksum);
-            prop_assert_eq!(&thread.counters, &event.counters);
+            prop_assert_eq!(first.checksum, again.checksum);
+            prop_assert_eq!(&first.counters, &again.counters);
             prop_assert_eq!(
-                thread.sched.as_ref().map(|s| s.fingerprint),
-                event.sched.as_ref().map(|s| s.fingerprint),
-                "thread and event backends must interleave identically"
+                first.sched.as_ref().map(|s| s.fingerprint),
+                again.sched.as_ref().map(|s| s.fingerprint),
+                "same-seed runs must interleave identically"
             );
         }
     }

@@ -102,11 +102,13 @@ impl SymWorld {
     }
 
     /// Wire-format version of [`SymWorld::export_state_bytes`].
-    pub const STATE_VERSION: u64 = 1;
+    pub const STATE_VERSION: u64 = 2;
 
     /// Serialise every symmetric region (raw bit patterns, PE-major) for a
     /// checkpoint. Call at a quiescence point: puts already landed in the
-    /// blackboard, so the cells are the complete one-sided state.
+    /// blackboard, so the cells are the complete one-sided state. Each
+    /// PE's instance is stored up to its last non-zero cell: apps size
+    /// their arrays for the worst case, and a fresh region is all zero.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut w = o2k_snap::wire::WireWriter::new();
         w.u64(Self::STATE_VERSION);
@@ -116,9 +118,9 @@ impl SymWorld {
         for r in regions.iter() {
             w.u64(r.len as u64);
             for pe_mem in &r.mem {
-                for cell in pe_mem.iter() {
-                    w.u64(cell.load(Ordering::Relaxed));
-                }
+                let cells: Vec<u64> = pe_mem.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+                let used = cells.iter().rposition(|&v| v != 0).map_or(0, |i| i + 1);
+                w.u64s(&cells[..used]);
             }
         }
         w.into_bytes()
@@ -153,9 +155,15 @@ impl SymWorld {
             let len = rd.u64()? as usize;
             let mem: Vec<Box<[AtomicU64]>> = (0..pes)
                 .map(|_| {
-                    (0..len)
-                        .map(|_| Ok(AtomicU64::new(rd.u64()?)))
-                        .collect::<Result<Box<[_]>, String>>()
+                    let mut cells = rd.u64s()?;
+                    if cells.len() > len {
+                        return Err(format!(
+                            "shmem snapshot instance holds {} cells, region has {len}",
+                            cells.len()
+                        ));
+                    }
+                    cells.resize(len, 0);
+                    Ok(cells.into_iter().map(AtomicU64::new).collect())
                 })
                 .collect::<Result<_, String>>()?;
             imported.push(Arc::new(Region {

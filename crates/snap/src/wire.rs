@@ -144,11 +144,11 @@ impl<'a> WireReader<'a> {
     /// Read a length-prefixed slice of u64s.
     pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
         let n = self.u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        let bytes = self.take(n.checked_mul(8).ok_or("snapshot u64 count overflows")?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+            .collect())
     }
 
     /// Read a length-prefixed slice of f64s.

@@ -53,7 +53,7 @@ pub mod prelude {
     };
     pub use machine::{Machine, MachineConfig};
     pub use o2k_core::{effort_table, sweep_models};
-    pub use o2k_sched::{ExecMode, SchedPolicy};
+    pub use o2k_sched::SchedPolicy;
     pub use o2k_serve::ServeConfig;
     pub use parallel::Team;
 }

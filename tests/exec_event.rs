@@ -1,45 +1,26 @@
-//! Execution-backend equivalence: the event core must be observationally
-//! identical to the thread backend under the deterministic scheduler.
+//! The event execution core: every cooperative policy runs each PE as a
+//! coroutine on one OS thread, driven by `CoopSched::drive`.
 //!
-//! Three layers of evidence:
+//! Two layers of evidence:
 //!
-//! * **Golden equivalence** — the runs behind every pinned golden
-//!   (F1/F3/F5 app runs, the serving results, and the f2/n1/n2/q1
-//!   experiment archives) are regenerated on both backends and
-//!   byte-diffed. The T2/T3 goldens never execute a team, so they are
-//!   backend-independent by construction.
 //! * **Property tests** — virtual-time monotonicity of the event heap's
 //!   pick sequence, deterministic tie-breaking (same seed ⇒ same
-//!   fingerprint on both backends), and no lost wakeups through
-//!   mailbox+barrier traffic at P ∈ {2, 4, 8, 64}.
-//! * **Scale smoke** — P = 1024 teams (past the OS-thread cap) complete
-//!   on the event core for N-body, AMR, and serving, with cross-model
-//!   checksums agreeing and request conservation holding; thread mode at
-//!   P = 1024 is refused with a diagnostic pointing at `--exec event`.
+//!   fingerprint), and no lost wakeups through mailbox+barrier traffic at
+//!   P ∈ {2, 4, 8, 64}.
+//! * **Scale smoke** — P = 1024 teams complete on the event core for
+//!   N-body, AMR, and serving, with cross-model checksums agreeing and
+//!   request conservation holding.
 //!
-//! Tests that flip the *process-default* exec mode serialize on
-//! [`EXEC_DEFAULT`]; everything else passes explicit [`RunOpts`] and is
-//! safe to run concurrently.
+//! Plus the scheduler's failure diagnoses (logic deadlock vs network
+//! partition), which must be deterministic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use origin2k::prelude::*;
 
-/// Guards `set_default_exec`: the default is process-global, and tests in
-/// this binary run concurrently.
-static EXEC_DEFAULT: Mutex<()> = Mutex::new(());
-
 fn machine(p: usize) -> Arc<Machine> {
     Machine::origin2000(p)
-}
-
-fn det(exec: ExecMode) -> RunOpts {
-    RunOpts {
-        sched: Some(SchedPolicy::Det),
-        exec: Some(exec),
-        ..RunOpts::default()
-    }
 }
 
 /// Byte-level equivalence of two runs: simulated time, physics checksum
@@ -61,77 +42,13 @@ fn assert_same_run(tag: &str, a: &RunMetrics, b: &RunMetrics) {
     assert_eq!(fa.switches, fb.switches, "{tag}: handoff count");
 }
 
-// ------------------------------------------------- golden equivalence
-
-/// The runs behind the F1/F3/F5 pins (both apps, all models, P ∈ {1, 4},
-/// quick sizes): regenerate under thread-det and event-det and compare
-/// everything the goldens derive from.
-#[test]
-fn pinned_app_goldens_replay_bitwise_under_event() {
-    let nb = NBodyConfig::small();
-    let am = AmrConfig::small();
-    for app in [App::NBody, App::Amr] {
-        for model in Model::ALL {
-            for p in [1usize, 4] {
-                let t = run_app_opts(machine(p), app, model, &nb, &am, det(ExecMode::Thread));
-                let e = run_app_opts(machine(p), app, model, &nb, &am, det(ExecMode::Event));
-                let tag = format!("{}/{} P={p}", app.name(), model.name());
-                assert_same_run(&tag, &t, &e);
-            }
-        }
-    }
-}
-
-/// The serving goldens: `ServeConfig::small()` at P=8 on the queued
-/// fabric, every model — quantiles and NetStats must match bitwise.
-#[test]
-fn serve_goldens_replay_bitwise_under_event() {
-    use origin2k::machine::ContentionMode;
-    let cfg = ServeConfig::small();
-    let queued = |p: usize| {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                contention: ContentionMode::Queued,
-                ..MachineConfig::origin2000()
-            },
-        ))
-    };
-    for model in Model::ALL {
-        let t = origin2k::serve::run_opts(queued(8), model, &cfg, det(ExecMode::Thread));
-        let e = origin2k::serve::run_opts(queued(8), model, &cfg, det(ExecMode::Event));
-        let tag = format!("serve/{}", model.name());
-        assert_same_run(&tag, &t, &e);
-        assert!(t.serve.is_some(), "{tag}: serving runs carry ServeStats");
-    }
-}
-
-/// The pinned experiment archives: f2, n1, n2, and q1 regenerated under
-/// the event core must be byte-identical to the thread-backend text
-/// (tables, hotspot reports, quantiles — the whole rendered archive).
-#[test]
-fn experiment_archives_replay_bitwise_under_event() {
-    let _guard = EXEC_DEFAULT.lock().unwrap();
-    origin2k::sched::set_default_policy(SchedPolicy::Det);
-    for id in ["f2", "n1", "n2", "q1"] {
-        origin2k::sched::set_default_exec(ExecMode::Thread);
-        let thread = o2k_bench::run_experiment(id, true);
-        origin2k::sched::set_default_exec(ExecMode::Event);
-        let event = o2k_bench::run_experiment(id, true);
-        origin2k::sched::set_default_exec(ExecMode::Thread);
-        assert_eq!(
-            thread, event,
-            "repro {id} archive must be byte-identical across backends"
-        );
-    }
-}
-
 // ------------------------------------------------------ property tests
 
 mod properties {
     use super::*;
-    use origin2k::sched::{coro, CoopSched};
+    use origin2k::sched::CoopSched;
     use proptest::prelude::*;
+    use std::cell::RefCell;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
@@ -146,40 +63,22 @@ mod properties {
         ) {
             let p = [2usize, 4, 8][p_idx];
             let rounds = incs.len() / p;
-            let sched = Arc::new(CoopSched::with_exec(
-                p,
-                SchedPolicy::Det,
-                vec![p],
-                ExecMode::Event,
-            ));
-            let grants: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut coros: Vec<coro::Coro> = (0..p)
-                .map(|pe| {
-                    let sched = Arc::clone(&sched);
-                    let grants = Arc::clone(&grants);
-                    let incs = incs.clone();
-                    coro::Coro::new(coro::stack_bytes(), move || {
-                        sched.register(pe);
-                        sched.gate_wait(0, pe, 0);
-                        let mut clock = 0u64;
-                        for r in 0..rounds {
-                            clock += incs[r * p + pe];
-                            sched.yield_now(pe, clock);
-                            // The floor is ours again: one grant observed.
-                            grants.lock().unwrap().push(clock);
-                        }
-                        sched.finish(pe, clock);
-                    })
-                })
-                .collect();
-            for c in coros.iter_mut() {
-                c.resume();
-            }
-            while let Some(next) = sched.event_take_next() {
-                coros[next].resume();
-            }
-            prop_assert!(coros.iter().all(|c| c.finished()), "all PEs must run dry");
-            let grants = grants.lock().unwrap();
+            let sched = CoopSched::new(p, SchedPolicy::Det, vec![p]);
+            let grants = RefCell::new(Vec::new());
+            let (sched, grants_ref, incs) = (&sched, &grants, &incs);
+            let outcome = sched.drive((0..p).map(|pe| move || {
+                sched.gate_wait(0, pe, 0);
+                let mut clock = 0u64;
+                for r in 0..rounds {
+                    clock += incs[r * p + pe];
+                    sched.yield_now(pe, clock);
+                    // The floor is ours again: one grant observed.
+                    grants_ref.borrow_mut().push(clock);
+                }
+                clock
+            }));
+            prop_assert!(outcome.is_ok(), "all PEs must run dry");
+            let grants = grants.into_inner();
             prop_assert_eq!(grants.len(), rounds * p);
             for w in grants.windows(2) {
                 prop_assert!(
@@ -192,19 +91,17 @@ mod properties {
         }
 
         /// Deterministic tie-breaking: the same Explore seed produces the
-        /// same schedule fingerprint on the event core twice in a row, and
-        /// the thread backend takes the identical pick sequence.
+        /// same schedule fingerprint and results twice in a row.
         #[test]
         fn same_seed_same_fingerprint_on_both_backends(
             p in 2usize..9,
             seed in any::<u64>(),
         ) {
             let policy = SchedPolicy::Explore { seed };
-            let go = |exec: ExecMode| {
+            let go = || {
                 Team::new(machine(p))
                     .seed(7)
                     .sched(policy)
-                    .exec(exec)
                     .run(|ctx| {
                         for _ in 0..4 {
                             ctx.compute(50 + ctx.pe() as u64 * 11);
@@ -213,13 +110,10 @@ mod properties {
                         ctx.rng_u64()
                     })
             };
-            let e1 = go(ExecMode::Event);
-            let e2 = go(ExecMode::Event);
-            let t = go(ExecMode::Thread);
+            let (a, b) = (go(), go());
             let f = |r: &parallel::TeamRun<u64>| r.sched.as_ref().unwrap().fingerprint;
-            prop_assert_eq!(f(&e1), f(&e2), "event replay must be stable");
-            prop_assert_eq!(f(&e1), f(&t), "backends must take the same picks");
-            prop_assert_eq!(e1.results, t.results);
+            prop_assert_eq!(f(&a), f(&b), "replay must take the same picks");
+            prop_assert_eq!(a.results, b.results);
         }
     }
 
@@ -228,8 +122,7 @@ mod properties {
 
         /// No lost wakeups: random mailbox ring traffic plus barriers at
         /// P ∈ {2, 4, 8, 64}. A lost wakeup deadlocks (poisons) the team;
-        /// completion with matching fingerprints on both backends is the
-        /// assertion.
+        /// completion with every PE's ring sum replayed is the assertion.
         #[test]
         fn no_lost_wakeups_under_event(
             p_idx in 0usize..4,
@@ -237,7 +130,7 @@ mod properties {
             payload in any::<u64>(),
         ) {
             let p = [2usize, 4, 8, 64][p_idx];
-            let go = |exec: ExecMode| {
+            let go = || {
                 let mach = Arc::new(machine::Machine::new(
                     p,
                     machine::MachineConfig::test_tiny(),
@@ -246,7 +139,6 @@ mod properties {
                 Team::new(mach)
                     .seed(payload)
                     .sched(SchedPolicy::Det)
-                    .exec(exec)
                     .run(move |ctx| {
                         let me = ctx.pe();
                         let n = ctx.npes();
@@ -269,12 +161,12 @@ mod properties {
                         acc
                     })
             };
-            let t = go(ExecMode::Thread);
-            let e = go(ExecMode::Event);
-            prop_assert_eq!(&t.results, &e.results, "ring traffic must agree");
+            let (a, b) = (go(), go());
+            prop_assert_eq!(a.results.len(), p);
+            prop_assert_eq!(&a.results, &b.results, "ring traffic must replay");
             prop_assert_eq!(
-                t.sched.as_ref().unwrap().fingerprint,
-                e.sched.as_ref().unwrap().fingerprint
+                a.sched.as_ref().unwrap().fingerprint,
+                b.sched.as_ref().unwrap().fingerprint
             );
         }
     }
@@ -283,8 +175,7 @@ mod properties {
 // ----------------------------------------------------- P = 1024 smoke
 
 /// N-body at P = 1024 on the event core: SHMEM and MPI both complete
-/// past the thread cap and agree on the physics **bitwise** at the
-/// same P (the models trade identical essential trees). A CC-SAS run
+/// and agree on the physics **bitwise** at the same P (the models trade identical essential trees). A CC-SAS run
 /// anchors the physics at P = 64 — the smoke keeps that model small
 /// because across *different* P the MAC accepts slightly different
 /// cells per partition, so the cross-P check is a tolerance, not bit
@@ -312,7 +203,7 @@ fn nbody_p1024_completes_and_models_agree_under_event() {
         Model::Shmem,
         &nb,
         &am,
-        det(ExecMode::Event),
+        RunOpts::det_event(),
     );
     assert_eq!(sh.pes, 1024);
     assert!(sh.sim_time > 0, "the run must do work");
@@ -323,7 +214,7 @@ fn nbody_p1024_completes_and_models_agree_under_event() {
         Model::Mp,
         &nb,
         &am,
-        det(ExecMode::Event),
+        RunOpts::det_event(),
     );
     assert_eq!(
         sh.checksum.to_bits(),
@@ -336,7 +227,7 @@ fn nbody_p1024_completes_and_models_agree_under_event() {
         Model::Sas,
         &nb,
         &am,
-        det(ExecMode::Event),
+        RunOpts::det_event(),
     );
     let rel = (sh.checksum - sas.checksum).abs() / sas.checksum.abs();
     assert!(
@@ -367,12 +258,12 @@ fn amr_p1024_completes_and_models_agree_under_event() {
         Model::Shmem,
         &nb,
         &am,
-        det(ExecMode::Event),
+        RunOpts::det_event(),
     );
     assert_eq!(sh.pes, 1024);
     assert!(sh.sim_time > 0, "the run must do work");
     for model in [Model::Mp, Model::Sas] {
-        let anchor = run_app_opts(machine(64), App::Amr, model, &nb, &am, det(ExecMode::Event));
+        let anchor = run_app_opts(machine(64), App::Amr, model, &nb, &am, RunOpts::det_event());
         assert_eq!(
             sh.checksum.to_bits(),
             anchor.checksum.to_bits(),
@@ -396,7 +287,7 @@ fn serve_p1024_conserves_requests_under_event() {
         seed: 0x00C0_FFEE,
         ..ServeConfig::default()
     };
-    let go = || origin2k::serve::run_opts(machine(1024), Model::Shmem, &cfg, det(ExecMode::Event));
+    let go = || origin2k::serve::run_opts(machine(1024), Model::Shmem, &cfg, RunOpts::det_event());
     let a = go();
     let s = a.serve.as_ref().expect("serving runs carry ServeStats");
     assert_eq!(s.issued, cfg.requests, "every request issued");
@@ -447,7 +338,7 @@ fn serve_p1024_mitigation_cuts_skewed_tail_under_event() {
         start_ns: 600_000,
     };
     let run = |model: Model, mit: Mitigation| {
-        origin2k::serve::run_opts(queued(), model, &cfg(mit), det(ExecMode::Event))
+        origin2k::serve::run_opts(queued(), model, &cfg(mit), RunOpts::det_event())
     };
     let grid = [
         (Model::Mp, Mitigation::Replicate { replicas: 3 }),
@@ -490,78 +381,52 @@ fn serve_p1024_mitigation_cuts_skewed_tail_under_event() {
     }
 }
 
-/// The thread backend refuses a 1024-PE team with a diagnostic that
-/// points at the event core instead of spawning a thousand OS threads.
-#[test]
-fn thread_backend_refuses_p1024_with_guidance() {
-    let err = catch_unwind(AssertUnwindSafe(|| {
-        Team::new(machine(1024))
-            .sched(SchedPolicy::Det)
-            .exec(ExecMode::Thread)
-            .run(|ctx| ctx.pe())
-    }))
-    .expect_err("thread mode must refuse P=1024");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("--exec event"),
-        "refusal must point at the event core: {msg}"
-    );
-}
-
 // -------------------------------------- deadlock diagnosis regression
 
 /// A logic deadlock (a recv no send will ever match) produces the same
-/// scheduler diagnostic on both backends.
+/// scheduler diagnostic on every run.
 #[test]
 fn deadlock_diagnosis_is_identical_across_backends() {
-    let diagnose = |exec: ExecMode| -> String {
+    let diagnose = || -> String {
         let mach = Arc::new(machine::Machine::new(
             2,
             machine::MachineConfig::test_tiny(),
         ));
         let world = Arc::new(mp::MpWorld::new(Arc::clone(&mach)));
         let err = catch_unwind(AssertUnwindSafe(|| {
-            Team::new(mach)
-                .sched(SchedPolicy::Det)
-                .exec(exec)
-                .run(move |ctx| {
-                    if ctx.pe() == 0 {
-                        // No PE ever sends tag 9: a true logic deadlock.
-                        world.recv::<u64>(
-                            ctx,
-                            mp::RecvSpec {
-                                src: Some(1),
-                                tag: Some(9),
-                            },
-                        );
-                    }
-                })
+            Team::new(mach).sched(SchedPolicy::Det).run(move |ctx| {
+                if ctx.pe() == 0 {
+                    // No PE ever sends tag 9: a true logic deadlock.
+                    world.recv::<u64>(
+                        ctx,
+                        mp::RecvSpec {
+                            src: Some(1),
+                            tag: Some(9),
+                        },
+                    );
+                }
+            })
         }))
         .expect_err("the deadlocked team must panic");
         err.downcast_ref::<String>()
             .cloned()
             .expect("diagnostic panics carry a String payload")
     };
-    let t = diagnose(ExecMode::Thread);
-    let e = diagnose(ExecMode::Event);
+    let t = diagnose();
     assert!(
         t.contains("cooperative scheduler deadlock"),
         "must diagnose a logic deadlock: {t}"
     );
-    assert_eq!(t, e, "backends must produce the identical diagnostic");
+    assert_eq!(t, diagnose(), "the diagnostic must be deterministic");
 }
 
 /// A dead-link block (the fault plan partitioned the machine) is
 /// diagnosed as a *network partition* — not a logic deadlock — and the
-/// diagnostic is identical on both backends.
+/// diagnostic is the same on every run.
 #[test]
 fn partition_diagnosis_is_identical_across_backends() {
     use origin2k::machine::{ContentionMode, FaultMode};
-    let diagnose = |exec: ExecMode| -> String {
+    let diagnose = || -> String {
         // 8 PEs → 4 nodes, 2 routers; killing the single r0d0 edge severs
         // rtr0 from rtr1 with nothing to detour over.
         let mach = Arc::new(Machine::new(
@@ -573,23 +438,19 @@ fn partition_diagnosis_is_identical_across_backends() {
             },
         ));
         let err = catch_unwind(AssertUnwindSafe(|| {
-            Team::new(mach)
-                .sched(SchedPolicy::Det)
-                .exec(exec)
-                .run(|ctx| {
-                    if ctx.pe() == 0 {
-                        // Every route to node 2 crosses the severed edge.
-                        ctx.net_delay_to_node(2, 1_024);
-                    }
-                })
+            Team::new(mach).sched(SchedPolicy::Det).run(|ctx| {
+                if ctx.pe() == 0 {
+                    // Every route to node 2 crosses the severed edge.
+                    ctx.net_delay_to_node(2, 1_024);
+                }
+            })
         }))
         .expect_err("the partitioned team must panic");
         err.downcast_ref::<String>()
             .cloned()
             .expect("diagnostic panics carry a String payload")
     };
-    let t = diagnose(ExecMode::Thread);
-    let e = diagnose(ExecMode::Event);
+    let t = diagnose();
     assert!(
         t.contains("network partition"),
         "must diagnose a partition: {t}"
@@ -598,5 +459,5 @@ fn partition_diagnosis_is_identical_across_backends() {
         !t.contains("cooperative scheduler deadlock"),
         "must not misdiagnose as a logic deadlock: {t}"
     );
-    assert_eq!(t, e, "backends must produce the identical diagnostic");
+    assert_eq!(t, diagnose(), "the diagnostic must be deterministic");
 }

@@ -329,7 +329,7 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
 /// The `ChargeRun` engine must be *bitwise invisible*: coalescing a
 /// coherence window's charges into one vectored `try_route_many` walk may
 /// only change wall-clock cost, never a pick, a counter, a delay, or a
-/// byte of physics. Sweep team size × policy × execution backend on a
+/// byte of physics. Sweep team size × policy on a
 /// contended machine (where the fabric queues actually move) and compare
 /// a batched run against the scalar per-charge reference path.
 mod charge_batching_properties {
@@ -355,7 +355,6 @@ mod charge_batching_properties {
         fn batched_charging_is_bitwise_invisible(
             p_idx in 0usize..3,
             use_det in 0usize..2,
-            event in 0usize..2,
             seed in 0u64..8,
         ) {
             let p = [2usize, 4, 8][p_idx];
@@ -364,7 +363,6 @@ mod charge_batching_properties {
             } else {
                 SchedPolicy::Explore { seed }
             };
-            let exec = if event == 1 { ExecMode::Event } else { ExecMode::Thread };
             let cfg = super::amr_step_cfg();
             let run = |batched: bool| {
                 set_charge_batching(batched);
@@ -374,18 +372,14 @@ mod charge_batching_properties {
                     Model::Sas,
                     &NBodyConfig::small(),
                     &cfg,
-                    RunOpts {
-                        sched: Some(policy),
-                        exec: Some(exec),
-                        snap: None,
-                    },
+                    RunOpts::with_sched(Some(policy)),
                 );
                 set_charge_batching(true);
                 r
             };
             let a = run(true);
             let b = run(false);
-            let tag = format!("P={p} {policy} {exec}");
+            let tag = format!("P={p} {policy}");
             assert_eq!(a.checksum.to_bits(), b.checksum.to_bits(), "{tag}: checksum");
             assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time");
             assert_eq!(a.counters, b.counters, "{tag}: counters");

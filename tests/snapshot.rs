@@ -10,11 +10,10 @@
 //! Two layers of evidence:
 //!
 //! * **Golden round-trips** — one MP, one SHMEM, and one CC-SAS workload,
-//!   each captured at a mid-run step barrier and restored, on BOTH the
-//!   thread and event execution backends, on a contended (queued) machine
-//!   so NetStats is live and compared.
-//! * **Property tests** — random (app, model, backend, P ∈ {2,4,8}, gate
-//!   index) round-trips; the invariant never depends on which barrier the
+//!   each captured at a mid-run step barrier and restored on a contended
+//!   (queued) machine so NetStats is live and compared.
+//! * **Property tests** — random (app, model, P ∈ {2,4,8}, gate index)
+//!   round-trips; the invariant never depends on which barrier the
 //!   snapshot lands on.
 
 use std::path::PathBuf;
@@ -48,10 +47,9 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn det(exec: ExecMode, snap: Option<SnapSpec>) -> RunOpts {
+fn det(snap: Option<SnapSpec>) -> RunOpts {
     RunOpts {
         sched: Some(SchedPolicy::Det),
-        exec: Some(exec),
         snap,
     }
 }
@@ -79,7 +77,6 @@ fn round_trip(
     machine: impl Fn() -> Arc<Machine>,
     app: App,
     model: Model,
-    exec: ExecMode,
     gate_index: u64,
 ) {
     let nb = NBodyConfig::small();
@@ -89,20 +86,17 @@ fn round_trip(
         name: "step".into(),
         index: gate_index,
     };
-    let straight = run_app_opts(machine(), app, model, &nb, &am, det(exec, None));
+    let straight = run_app_opts(machine(), app, model, &nb, &am, det(None));
     let captured = run_app_opts(
         machine(),
         app,
         model,
         &nb,
         &am,
-        det(
-            exec,
-            Some(SnapSpec::Capture {
-                dir: dir.clone(),
-                point: gate,
-            }),
-        ),
+        det(Some(SnapSpec::Capture {
+            dir: dir.clone(),
+            point: gate,
+        })),
     );
     let restored = run_app_opts(
         machine(),
@@ -110,7 +104,7 @@ fn round_trip(
         model,
         &nb,
         &am,
-        det(exec, Some(SnapSpec::Restore { dir: dir.clone() })),
+        det(Some(SnapSpec::Restore { dir: dir.clone() })),
     );
     assert_same_run(
         &format!("{tag}: capture run vs straight"),
@@ -128,7 +122,7 @@ fn round_trip(
 // ------------------------------------------------- golden round-trips
 
 /// The acceptance matrix: one workload per model, restored at a mid-run
-/// step barrier, on both execution backends, with the contention model on.
+/// step barrier on the event core, with the contention model on.
 #[test]
 fn mid_run_restore_replays_the_tail_bitwise_per_model_and_backend() {
     let cases = [
@@ -136,67 +130,10 @@ fn mid_run_restore_replays_the_tail_bitwise_per_model_and_backend() {
         (App::NBody, Model::Shmem),
         (App::Amr, Model::Sas),
     ];
-    for exec in [ExecMode::Thread, ExecMode::Event] {
-        for (app, model) in cases {
-            let tag = format!("{}/{}/{exec:?}", app.name(), model.name());
-            round_trip(&tag, || contended(4), app, model, exec, 1);
-        }
+    for (app, model) in cases {
+        let tag = format!("{}/{}", app.name(), model.name());
+        round_trip(&tag, || contended(4), app, model, 1);
     }
-}
-
-/// Restoring a snapshot captured on the thread backend into the event
-/// backend (and vice versa) is also exact: the snapshot speaks virtual
-/// time, not host threads.
-#[test]
-fn snapshots_are_portable_across_execution_backends() {
-    let nb = NBodyConfig::small();
-    let am = AmrConfig::small();
-    let dir = scratch("cross-backend");
-    let gate = SnapPoint {
-        name: "step".into(),
-        index: 1,
-    };
-    let straight = run_app_opts(
-        contended(4),
-        App::Amr,
-        Model::Shmem,
-        &nb,
-        &am,
-        det(ExecMode::Event, None),
-    );
-    // Capture on the thread backend...
-    run_app_opts(
-        contended(4),
-        App::Amr,
-        Model::Shmem,
-        &nb,
-        &am,
-        det(
-            ExecMode::Thread,
-            Some(SnapSpec::Capture {
-                dir: dir.clone(),
-                point: gate,
-            }),
-        ),
-    );
-    // ...restore on the event backend.
-    let restored = run_app_opts(
-        contended(4),
-        App::Amr,
-        Model::Shmem,
-        &nb,
-        &am,
-        det(
-            ExecMode::Event,
-            Some(SnapSpec::Restore { dir: dir.clone() }),
-        ),
-    );
-    assert_same_run(
-        "thread-captured snapshot on event core",
-        &restored,
-        &straight,
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The fabric's structure-of-arrays resource table must round-trip
@@ -259,21 +196,19 @@ mod properties {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
         /// snapshot → restore → run ≡ straight run, whatever the model,
-        /// team size, backend, or gate the snapshot lands on.
+        /// team size, or gate the snapshot lands on.
         #[test]
         fn restore_is_exact_everywhere(
             p_idx in 0usize..3,
             model_idx in 0usize..3,
             app_is_amr in 0usize..2,
-            event in 0usize..2,
             gate in 0u64..3,
         ) {
             let p = [2usize, 4, 8][p_idx];
             let model = Model::ALL[model_idx];
             let app = if app_is_amr == 1 { App::Amr } else { App::NBody };
-            let exec = if event == 1 { ExecMode::Event } else { ExecMode::Thread };
-            let tag = format!("prop-{}-{}-p{p}-{exec:?}-g{gate}", app.name(), model.name());
-            round_trip(&tag, || Machine::origin2000(p), app, model, exec, gate);
+            let tag = format!("prop-{}-{}-p{p}-g{gate}", app.name(), model.name());
+            round_trip(&tag, || Machine::origin2000(p), app, model, gate);
         }
     }
 }
