@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use machine::Machine;
 use mp::{MpWorld, RecvSpec};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
 
 use crate::amr_common::{AmrConfig, AmrPlan, AmrState};
@@ -37,19 +37,8 @@ const TAG_GHOST: u32 = 11;
 /// Tag for inter-leader migration messages.
 const TAG_MIGRATE: u32 = 12;
 
-/// Run the hybrid AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the hybrid AMR application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let mp = MpWorld::new(Arc::clone(&machine));
     let sas = SasWorld::new(Arc::clone(&machine));
     let plan = AmrPlan::build(cfg, Some(machine.topology.nodes()), None);
@@ -337,7 +326,7 @@ mod tests {
     #[test]
     fn runs_with_mixed_traffic() {
         let cfg = AmrConfig::small();
-        let m = run(machine(8), &cfg);
+        let m = run(machine(8), &cfg, crate::RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.msgs_sent > 0, "leaders must exchange messages");
         assert!(
@@ -345,7 +334,7 @@ mod tests {
             "node peers share through coherence"
         );
         // Far fewer messages than the pure MP version.
-        let mp = crate::amr_mp::run(machine(8), &cfg);
+        let mp = crate::amr_mp::run(machine(8), &cfg, crate::RunOpts::default());
         assert!(
             m.counters.msgs_sent < mp.counters.msgs_sent / 2,
             "hybrid ({}) should need far fewer messages than MP ({})",
@@ -357,8 +346,14 @@ mod tests {
     #[test]
     fn matches_other_models_bitwise() {
         let cfg = AmrConfig::small();
-        let hy = run(machine(6), &cfg).checksum;
-        let sas = crate::amr_sas::run(machine(4), &cfg).checksum;
+        let hy = run(machine(6), &cfg, crate::RunOpts::default()).checksum;
+        let sas = crate::amr_sas::run(
+            machine(4),
+            &cfg,
+            sas::PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
         assert_eq!(hy, sas, "hybrid must compute the same Jacobi values");
     }
 
@@ -366,8 +361,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(2), &cfg).checksum,
-            run(machine(8), &cfg).checksum
+            run(machine(2), &cfg, crate::RunOpts::default()).checksum,
+            run(machine(8), &cfg, crate::RunOpts::default()).checksum
         );
     }
 
@@ -380,8 +375,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run(machine(1), &cfg, crate::RunOpts::default()).sim_time;
+        let t8 = run(machine(8), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use machine::Machine;
 use mp::MpWorld;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 
 use crate::amr_common::{decode_step_state, encode_step_state, AmrConfig, AmrPlan, AmrState};
 use crate::metrics::{App, Model, RunMetrics};
@@ -21,19 +21,8 @@ use crate::snapshot::Snapshotter;
 // snap:end
 use crate::workcost as W;
 
-/// Run the MP AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the MP AMR application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
@@ -261,7 +250,7 @@ mod tests {
     #[test]
     fn runs_and_communicates() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(machine(4), &cfg, crate::RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.msgs_sent > 0);
         assert_eq!(m.counters.puts, 0);
@@ -273,8 +262,8 @@ mod tests {
         // Jacobi on the same graph with the same schedule: the distributed
         // runs must agree bitwise with the P=1 run.
         let cfg = AmrConfig::small();
-        let c1 = run(machine(1), &cfg).checksum;
-        let c4 = run(machine(4), &cfg).checksum;
+        let c1 = run(machine(1), &cfg, crate::RunOpts::default()).checksum;
+        let c4 = run(machine(4), &cfg, crate::RunOpts::default()).checksum;
         assert_eq!(c1, c4);
     }
 
@@ -282,8 +271,8 @@ mod tests {
     fn deterministic() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(3), &cfg).checksum,
-            run(machine(3), &cfg).checksum
+            run(machine(3), &cfg, crate::RunOpts::default()).checksum,
+            run(machine(3), &cfg, crate::RunOpts::default()).checksum
         );
     }
 
@@ -292,9 +281,9 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = AmrConfig::small();
         let dir = crate::snapshot::testutil::scratch("amr-mp");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
-        let straight = run_opts(machine(4), &cfg, det.clone());
-        let captured = run_opts(
+        let det = crate::RunOpts::det_event();
+        let straight = run(machine(4), &cfg, det.clone());
+        let captured = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -308,7 +297,7 @@ mod tests {
                 ..det.clone()
             },
         );
-        let restored = run_opts(
+        let restored = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -344,8 +333,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run(machine(1), &cfg, crate::RunOpts::default()).sim_time;
+        let t8 = run(machine(8), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t8 < t1, "P=8 ({t8}) should beat P=1 ({t1})");
     }
 }

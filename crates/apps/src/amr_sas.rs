@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::amr_common::{AmrConfig, AmrPlan, AmrState};
@@ -44,29 +44,9 @@ fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
 }
 // snap:end
 
-/// Run the CC-SAS AMR application with first-touch paging.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_with(machine, cfg, PagePolicy::FirstTouch, None)
-}
-
-/// Run with an explicit paging policy (ablation A1).
-pub fn run_with_paging(machine: Arc<Machine>, cfg: &AmrConfig, policy: PagePolicy) -> RunMetrics {
-    run_with(machine, cfg, policy, None)
-}
-
-/// Run with an explicit paging policy and scheduling policy. `None` keeps
-/// the process default ([`parallel::sched::default_policy`]).
-pub fn run_with(
-    machine: Arc<Machine>,
-    cfg: &AmrConfig,
-    policy: PagePolicy,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_with_opts(machine, cfg, policy, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run_with`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_with_opts(
+/// Run the CC-SAS AMR application with page placement `policy` under
+/// `opts`; returns uniform metrics.
+pub fn run(
     machine: Arc<Machine>,
     cfg: &AmrConfig,
     policy: PagePolicy,
@@ -268,7 +248,12 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        );
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -284,8 +269,14 @@ mod tests {
         // Same Jacobi, same schedule, same inheritance rules: the shared
         // array must hold exactly the values the MP version computes.
         let cfg = AmrConfig::small();
-        let sas = run(machine(4), &cfg).checksum;
-        let mpv = crate::amr_mp::run(machine(4), &cfg).checksum;
+        let sas = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
+        let mpv = crate::amr_mp::run(machine(4), &cfg, crate::RunOpts::default()).checksum;
         assert_eq!(sas, mpv);
     }
 
@@ -293,8 +284,20 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(1), &cfg).checksum,
-            run(machine(8), &cfg).checksum
+            run(
+                machine(1),
+                &cfg,
+                PagePolicy::FirstTouch,
+                crate::RunOpts::default()
+            )
+            .checksum,
+            run(
+                machine(8),
+                &cfg,
+                PagePolicy::FirstTouch,
+                crate::RunOpts::default()
+            )
+            .checksum
         );
     }
 
@@ -308,8 +311,18 @@ mod tests {
         // placement has room to matter at this problem size.
         let cfg = AmrConfig::small();
         let m = || Arc::new(Machine::new(8, MachineConfig::test_tiny()));
-        let ft = run_with(m(), &cfg, PagePolicy::FirstTouch, Some(SchedPolicy::Det));
-        let rr = run_with(m(), &cfg, PagePolicy::RoundRobin, Some(SchedPolicy::Det));
+        let ft = run(
+            m(),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::det_event(),
+        );
+        let rr = run(
+            m(),
+            &cfg,
+            PagePolicy::RoundRobin,
+            crate::RunOpts::det_event(),
+        );
         assert!(
             ft.counters.remote_miss_fraction() < rr.counters.remote_miss_fraction(),
             "first touch should reduce remote misses: {} vs {}",
@@ -327,8 +340,20 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run(
+            machine(1),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .sim_time;
+        let t8 = run(
+            machine(8),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .sim_time;
         assert!(t8 < t1);
     }
 
@@ -343,13 +368,13 @@ mod tests {
         };
         let dir = crate::snapshot::testutil::scratch("amr-sas");
         let go = |snap| {
-            run_with_opts(
+            run(
                 machine(4),
                 &cfg,
                 PagePolicy::FirstTouch,
                 crate::RunOpts {
-                    sched: Some(SchedPolicy::Det),
                     snap,
+                    ..crate::RunOpts::det_event()
                 },
             )
         };
@@ -393,8 +418,20 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let a = run(machine(6), &static_cfg).checksum;
-        let b = run(machine(6), &dyn_cfg).checksum;
+        let a = run(
+            machine(6),
+            &static_cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
+        let b = run(
+            machine(6),
+            &dyn_cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
         assert_eq!(a, b);
     }
 
@@ -405,17 +442,17 @@ mod self_schedule_tests {
             ..AmrConfig::small()
         };
         // Pin the schedule so the bound is stable run to run.
-        let r = run_with(
+        let r = run(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            crate::RunOpts::det_event(),
         );
-        let baseline = run_with(
+        let baseline = run(
             machine(4),
             &AmrConfig::small(),
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            crate::RunOpts::det_event(),
         );
         // Claim traffic and lost affinity make it slower, but the same
         // order of magnitude.
@@ -438,11 +475,11 @@ mod self_schedule_tests {
             ..AmrConfig::small()
         };
         let go = || {
-            run_with(
+            run(
                 machine(4),
                 &dyn_cfg,
                 PagePolicy::FirstTouch,
-                Some(SchedPolicy::Det),
+                crate::RunOpts::det_event(),
             )
         };
         let (a, b) = (go(), go());
@@ -460,17 +497,17 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let det = run_with(
+        let det = run(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            crate::RunOpts::det_event(),
         );
-        let e7 = run_with(
+        let e7 = run(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Explore { seed: 7 }),
+            crate::RunOpts::default().with_sched(parallel::SchedPolicy::Explore { seed: 7 }),
         );
         assert_eq!(det.checksum, e7.checksum, "answer is schedule-independent");
         assert_ne!(

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use shmem::{SymSlice, SymWorld};
 
 use crate::amr_common::{decode_step_state, encode_step_state, AmrConfig, AmrPlan, AmrState};
@@ -24,19 +24,8 @@ use crate::snapshot::Snapshotter;
 // snap:end
 use crate::workcost as W;
 
-/// Run the SHMEM AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the SHMEM AMR application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
@@ -255,7 +244,7 @@ mod tests {
     #[test]
     fn runs_with_one_sided_traffic() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(machine(4), &cfg, crate::RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.puts > 0);
         assert_eq!(m.counters.msgs_sent, 0);
@@ -264,8 +253,8 @@ mod tests {
     #[test]
     fn matches_mp_checksum_bitwise() {
         let cfg = AmrConfig::small();
-        let sh = run(machine(4), &cfg).checksum;
-        let mpv = crate::amr_mp::run(machine(4), &cfg).checksum;
+        let sh = run(machine(4), &cfg, crate::RunOpts::default()).checksum;
+        let mpv = crate::amr_mp::run(machine(4), &cfg, crate::RunOpts::default()).checksum;
         assert_eq!(sh, mpv);
     }
 
@@ -273,8 +262,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(1), &cfg).checksum,
-            run(machine(6), &cfg).checksum
+            run(machine(1), &cfg, crate::RunOpts::default()).checksum,
+            run(machine(6), &cfg, crate::RunOpts::default()).checksum
         );
     }
 
@@ -287,8 +276,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run(machine(1), &cfg, crate::RunOpts::default()).sim_time;
+        let t8 = run(machine(8), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 
@@ -297,9 +286,9 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = AmrConfig::small();
         let dir = crate::snapshot::testutil::scratch("amr-shmem");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
-        let straight = run_opts(machine(4), &cfg, det.clone());
-        let captured = run_opts(
+        let det = crate::RunOpts::det_event();
+        let straight = run(machine(4), &cfg, det.clone());
+        let captured = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -313,7 +302,7 @@ mod tests {
                 ..det.clone()
             },
         );
-        let restored = run_opts(
+        let restored = run(
             machine(4),
             &cfg,
             crate::RunOpts {

@@ -41,80 +41,61 @@ pub use snapshot::Snapshotter;
 use std::sync::Arc;
 
 use machine::Machine;
-use parallel::{SchedPolicy, Team};
+use parallel::{SchedPolicy, Team, TraceSink};
 
-/// Per-run execution options every model entry point honours: an optional
-/// scheduling-policy override and an optional snapshot capture/restore
-/// request. `None` keeps the process defaults
-/// ([`parallel::sched::default_policy`] / [`o2k_snap::current_spec`]).
+/// Everything a run is configured by besides the machine and the app
+/// config, passed by value to every entry point: no run reads process
+/// state. The default is the [`parallel::sched::default_policy`] schedule,
+/// no snapshot and no trace.
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
-    /// Scheduling policy (which PE runs next).
+    /// Scheduling policy (which PE runs next); `None` keeps
+    /// [`parallel::sched::default_policy`].
     pub sched: Option<SchedPolicy>,
     /// Snapshot capture/restore for this run (see [`snapshot`]).
     pub snap: Option<o2k_snap::SnapSpec>,
+    /// Trace every team run and push its trace into this sink.
+    pub trace: Option<TraceSink>,
 }
 
 impl RunOpts {
-    /// Only a scheduling policy — the legacy `run_sched` surface.
-    pub fn with_sched(sched: Option<SchedPolicy>) -> Self {
+    /// The deterministic schedule, whatever `O2K_SCHED` says. Like every
+    /// cooperative policy it runs on the event core.
+    pub fn det_event() -> Self {
         RunOpts {
-            sched,
+            sched: Some(SchedPolicy::Det),
             ..Self::default()
         }
     }
 
-    /// The deterministic schedule, pinned regardless of the process
-    /// default. Like every cooperative policy it runs on the event core.
-    pub fn det_event() -> Self {
-        RunOpts::with_sched(Some(SchedPolicy::Det))
-    }
-
-    /// Apply the overrides to a team builder.
-    pub fn configure(&self, team: Team) -> Team {
-        match self.sched {
-            Some(s) => team.sched(s),
-            None => team,
+    /// These options with the scheduling policy replaced by `sched`.
+    pub fn with_sched(&self, sched: SchedPolicy) -> Self {
+        RunOpts {
+            sched: Some(sched),
+            ..self.clone()
         }
     }
+
+    /// Apply the policy and trace sink to a team builder. Every team a run
+    /// or an experiment builds goes through here.
+    pub fn configure(&self, mut team: Team) -> Team {
+        if let Some(s) = self.sched {
+            team = team.sched(s);
+        }
+        if let Some(sink) = &self.trace {
+            team = team.sink(sink.clone());
+        }
+        team
+    }
 }
 
-/// Run an application under a model on a machine. The uniform entry point
-/// the experiment driver uses.
-pub fn run_app(
-    machine: Arc<Machine>,
-    app: App,
-    model: Model,
-    nbody_cfg: &NBodyConfig,
-    amr_cfg: &AmrConfig,
-) -> RunMetrics {
-    run_app_sched(machine, app, model, nbody_cfg, amr_cfg, None)
-}
-
-/// [`run_app`] with an explicit scheduling policy. `None` keeps the
-/// process default ([`parallel::sched::default_policy`]); experiments that
-/// compare timing across machine configurations pin [`SchedPolicy::Det`]
-/// so the comparison is not confounded by OS thread interleaving.
-pub fn run_app_sched(
-    machine: Arc<Machine>,
-    app: App,
-    model: Model,
-    nbody_cfg: &NBodyConfig,
-    amr_cfg: &AmrConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_app_opts(
-        machine,
-        app,
-        model,
-        nbody_cfg,
-        amr_cfg,
-        RunOpts::with_sched(sched),
-    )
-}
-
-/// [`run_app`] with full execution options (scheduling policy *and*
-/// snapshot request — see [`RunOpts`]).
+/// Run an application under a model on a machine: the one dispatcher over
+/// the app variants' `run` entry points. CC-SAS runs with first-touch
+/// paging; ablations that vary paging call `amr_sas::run` /
+/// `nbody_sas::run` directly.
+///
+/// # Panics
+/// Panics for [`App::Serve`], which `o2k_serve::run_opts` dispatches.
 pub fn run_app_opts(
     machine: Arc<Machine>,
     app: App,
@@ -123,23 +104,20 @@ pub fn run_app_opts(
     amr_cfg: &AmrConfig,
     opts: RunOpts,
 ) -> RunMetrics {
+    let paging = sas::PagePolicy::FirstTouch;
     match (app, model) {
-        (App::NBody, Model::Mp) => nbody_mp::run_opts(machine, nbody_cfg, opts),
-        (App::NBody, Model::Shmem) => nbody_shmem::run_opts(machine, nbody_cfg, opts),
-        (App::NBody, Model::Sas) => {
-            nbody_sas::run_with_opts(machine, nbody_cfg, sas::PagePolicy::FirstTouch, opts)
-        }
-        (App::Amr, Model::Mp) => amr_mp::run_opts(machine, amr_cfg, opts),
-        (App::Amr, Model::Shmem) => amr_shmem::run_opts(machine, amr_cfg, opts),
-        (App::Amr, Model::Sas) => {
-            amr_sas::run_with_opts(machine, amr_cfg, sas::PagePolicy::FirstTouch, opts)
-        }
-        (App::Amr, Model::Hybrid) => amr_hybrid::run_opts(machine, amr_cfg, opts),
-        (App::NBody, Model::Hybrid) => nbody_hybrid::run_opts(machine, nbody_cfg, opts),
+        (App::NBody, Model::Mp) => nbody_mp::run(machine, nbody_cfg, opts),
+        (App::NBody, Model::Shmem) => nbody_shmem::run(machine, nbody_cfg, opts),
+        (App::NBody, Model::Sas) => nbody_sas::run(machine, nbody_cfg, paging, opts),
+        (App::NBody, Model::Hybrid) => nbody_hybrid::run(machine, nbody_cfg, opts),
+        (App::Amr, Model::Mp) => amr_mp::run(machine, amr_cfg, opts),
+        (App::Amr, Model::Shmem) => amr_shmem::run(machine, amr_cfg, opts),
+        (App::Amr, Model::Sas) => amr_sas::run(machine, amr_cfg, paging, opts),
+        (App::Amr, Model::Hybrid) => amr_hybrid::run(machine, amr_cfg, opts),
         // The serving workload lives above this crate (it reuses all three
         // substrates *and* these metrics), so it has its own entry point.
         (App::Serve, _) => {
-            unreachable!("the serving workload is driven through o2k_serve::run, not run_app")
+            unreachable!("the serving workload is driven through o2k_serve::run_opts")
         }
     }
 }

@@ -16,7 +16,7 @@ use mp::{MpWorld, RecvSpec};
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -30,23 +30,8 @@ const TAG_LET: u32 = 22;
 const TAG_GATHER: u32 = 23;
 const TAG_SCATTER: u32 = 24;
 
-/// Run the hybrid N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the hybrid N-body application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(
         cfg.n >= machine.topology.nodes(),
         "need bodies on every node"
@@ -444,7 +429,7 @@ mod tests {
     #[test]
     fn runs_with_mixed_traffic() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(8), &cfg);
+        let m = run(machine(8), &cfg, crate::RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(
             m.counters.msgs_sent > 0,
@@ -460,8 +445,14 @@ mod tests {
     #[test]
     fn physics_close_to_other_models() {
         let cfg = NBodyConfig::small();
-        let hy = run(machine(8), &cfg).checksum;
-        let sas = crate::nbody_sas::run(machine(8), &cfg).checksum;
+        let hy = run(machine(8), &cfg, crate::RunOpts::default()).checksum;
+        let sas = crate::nbody_sas::run(
+            machine(8),
+            &cfg,
+            sas::PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
         let rel = (hy - sas).abs() / sas;
         assert!(rel < 0.02, "hybrid physics off by {rel}");
     }
@@ -469,8 +460,8 @@ mod tests {
     #[test]
     fn fewer_messages_than_pure_mp() {
         let cfg = NBodyConfig::small();
-        let hy = run(machine(8), &cfg);
-        let mpv = crate::nbody_mp::run(machine(8), &cfg);
+        let hy = run(machine(8), &cfg, crate::RunOpts::default());
+        let mpv = crate::nbody_mp::run(machine(8), &cfg, crate::RunOpts::default());
         assert!(
             hy.counters.msgs_sent < mpv.counters.msgs_sent,
             "node-granularity exchanges must reduce message count: {} vs {}",
@@ -486,8 +477,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t2 = run(machine(2), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t2 = run(machine(2), &cfg, crate::RunOpts::default()).sim_time;
+        let t8 = run(machine(8), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t8 < t2);
     }
 }

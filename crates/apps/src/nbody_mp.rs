@@ -20,7 +20,7 @@ use nbody::force::accel_at;
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{
@@ -34,23 +34,8 @@ use crate::workcost as W;
 /// Tag for the rebalance scatter.
 const TAG_REBALANCE: u32 = 7;
 
-/// Run the MP N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the MP N-body application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per rank");
     let world = MpWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
@@ -232,7 +217,7 @@ mod tests {
     #[test]
     fn runs_and_reports() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(machine(4), &cfg, crate::RunOpts::default());
         assert_eq!(m.pes, 4);
         assert!(m.sim_time > 0);
         assert!(m.checksum > 0.0);
@@ -243,8 +228,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let cfg = NBodyConfig::small();
-        let a = run(machine(2), &cfg);
-        let b = run(machine(2), &cfg);
+        let a = run(machine(2), &cfg, crate::RunOpts::default());
+        let b = run(machine(2), &cfg, crate::RunOpts::default());
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.sim_time, b.sim_time);
     }
@@ -252,8 +237,8 @@ mod tests {
     #[test]
     fn single_pe_matches_physics_of_two_pes() {
         let cfg = NBodyConfig::small();
-        let a = run(machine(1), &cfg);
-        let b = run(machine(2), &cfg);
+        let a = run(machine(1), &cfg, crate::RunOpts::default());
+        let b = run(machine(2), &cfg, crate::RunOpts::default());
         let rel = (a.checksum - b.checksum).abs() / a.checksum;
         assert!(rel < 0.02, "decomposition changed physics too much: {rel}");
     }
@@ -263,9 +248,9 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-mp");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
-        let straight = run_opts(machine(4), &cfg, det.clone());
-        let captured = run_opts(
+        let det = crate::RunOpts::det_event();
+        let straight = run(machine(4), &cfg, det.clone());
+        let captured = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -279,7 +264,7 @@ mod tests {
                 ..det.clone()
             },
         );
-        let restored = run_opts(
+        let restored = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -306,8 +291,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 = run(machine(1), &cfg, crate::RunOpts::default()).sim_time;
+        let t4 = run(machine(4), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t4 < t1, "P=4 ({t4}) should beat P=1 ({t1})");
     }
 }

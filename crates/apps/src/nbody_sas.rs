@@ -15,7 +15,7 @@ use std::sync::Arc;
 use machine::Machine;
 use nbody::costzones::zones_on_order;
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -49,29 +49,9 @@ fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
 }
 // snap:end
 
-/// Run the CC-SAS N-body application with first-touch paging.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_with(machine, cfg, PagePolicy::FirstTouch, None)
-}
-
-/// Run with an explicit paging policy (ablation A1).
-pub fn run_with_paging(machine: Arc<Machine>, cfg: &NBodyConfig, policy: PagePolicy) -> RunMetrics {
-    run_with(machine, cfg, policy, None)
-}
-
-/// Run with an explicit paging policy and scheduling policy. `None` keeps
-/// the process default ([`parallel::sched::default_policy`]).
-pub fn run_with(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    policy: PagePolicy,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_with_opts(machine, cfg, policy, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run_with`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_with_opts(
+/// Run the CC-SAS N-body application with page placement `policy` under
+/// `opts`; returns uniform metrics.
+pub fn run(
     machine: Arc<Machine>,
     cfg: &NBodyConfig,
     policy: PagePolicy,
@@ -305,7 +285,12 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        );
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -321,16 +306,34 @@ mod tests {
         // The SAS version always walks the same global tree: physics is
         // bitwise identical at any P.
         let cfg = NBodyConfig::small();
-        let c1 = run(machine(1), &cfg).checksum;
-        let c4 = run(machine(4), &cfg).checksum;
+        let c1 = run(
+            machine(1),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
+        let c4 = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
         assert_eq!(c1, c4);
     }
 
     #[test]
     fn physics_close_to_mp() {
         let cfg = NBodyConfig::small();
-        let sas = run(machine(4), &cfg).checksum;
-        let mpv = crate::nbody_mp::run(machine(1), &cfg).checksum;
+        let sas = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .checksum;
+        let mpv = crate::nbody_mp::run(machine(1), &cfg, crate::RunOpts::default()).checksum;
         let rel = (sas - mpv).abs() / mpv;
         assert!(rel < 1e-9, "global tree vs P=1 MP: {rel}");
     }
@@ -341,13 +344,13 @@ mod tests {
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-sas");
         let go = |snap| {
-            run_with_opts(
+            run(
                 machine(4),
                 &cfg,
                 PagePolicy::FirstTouch,
                 crate::RunOpts {
-                    sched: Some(SchedPolicy::Det),
                     snap,
+                    ..crate::RunOpts::det_event()
                 },
             )
         };
@@ -380,8 +383,18 @@ mod tests {
         // (Contrast with AMR, where ownership is address-contiguous and
         // the paging policy shows up clearly.)
         let cfg = NBodyConfig::small();
-        let ft = run_with_paging(machine(8), &cfg, PagePolicy::FirstTouch);
-        let rr = run_with_paging(machine(8), &cfg, PagePolicy::RoundRobin);
+        let ft = run(
+            machine(8),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        );
+        let rr = run(
+            machine(8),
+            &cfg,
+            PagePolicy::RoundRobin,
+            crate::RunOpts::default(),
+        );
         let ft_frac = ft.counters.remote_miss_fraction();
         let rr_frac = rr.counters.remote_miss_fraction();
         assert!(
@@ -399,8 +412,20 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 = run(
+            machine(1),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .sim_time;
+        let t4 = run(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            crate::RunOpts::default(),
+        )
+        .sim_time;
         assert!(t4 < t1);
     }
 }

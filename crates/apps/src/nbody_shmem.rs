@@ -22,7 +22,7 @@ use nbody::force::accel_at;
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use shmem::{SymSlice, SymWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -35,23 +35,8 @@ use crate::snapshot::Snapshotter;
 // snap:end
 use crate::workcost as W;
 
-/// Run the SHMEM N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
-pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
+/// Run the SHMEM N-body application under `opts`; returns uniform metrics.
+pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per PE");
     let world = SymWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
@@ -341,7 +326,7 @@ mod tests {
     #[test]
     fn runs_with_one_sided_traffic_only() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run(machine(4), &cfg, crate::RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.puts > 0, "SHMEM must put");
         assert!(m.counters.amos > 0, "ticket reservation uses fetch-add");
@@ -352,8 +337,8 @@ mod tests {
     fn deterministic() {
         let cfg = NBodyConfig::small();
         assert_eq!(
-            run(machine(2), &cfg).checksum,
-            run(machine(2), &cfg).checksum
+            run(machine(2), &cfg, crate::RunOpts::default()).checksum,
+            run(machine(2), &cfg, crate::RunOpts::default()).checksum
         );
     }
 
@@ -362,9 +347,9 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-shmem");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
-        let straight = run_opts(machine(4), &cfg, det.clone());
-        let captured = run_opts(
+        let det = crate::RunOpts::det_event();
+        let straight = run(machine(4), &cfg, det.clone());
+        let captured = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -378,7 +363,7 @@ mod tests {
                 ..det.clone()
             },
         );
-        let restored = run_opts(
+        let restored = run(
             machine(4),
             &cfg,
             crate::RunOpts {
@@ -401,8 +386,8 @@ mod tests {
     #[test]
     fn physics_close_to_mp_version() {
         let cfg = NBodyConfig::small();
-        let sh = run(machine(4), &cfg).checksum;
-        let mp = crate::nbody_mp::run(machine(4), &cfg).checksum;
+        let sh = run(machine(4), &cfg, crate::RunOpts::default()).checksum;
+        let mp = crate::nbody_mp::run(machine(4), &cfg, crate::RunOpts::default()).checksum;
         let rel = (sh - mp).abs() / mp;
         assert!(rel < 1e-6, "same decomposition → same physics: {rel}");
     }
@@ -414,8 +399,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 = run(machine(1), &cfg, crate::RunOpts::default()).sim_time;
+        let t4 = run(machine(4), &cfg, crate::RunOpts::default()).sim_time;
         assert!(t4 < t1);
     }
 }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
-use apps::{AmrConfig, NBodyConfig};
+use apps::{AmrConfig, NBodyConfig, RunOpts};
 use machine::{Machine, MachineConfig};
 use sas::PagePolicy;
 
@@ -17,10 +17,10 @@ fn m(p: usize) -> Arc<Machine> {
 fn bench_paging(c: &mut Criterion) {
     let cfg = NBodyConfig::small();
     c.bench_function("ablation_nbody_first_touch", |b| {
-        b.iter(|| apps::nbody_sas::run_with_paging(m(4), &cfg, PagePolicy::FirstTouch))
+        b.iter(|| apps::nbody_sas::run(m(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()))
     });
     c.bench_function("ablation_nbody_round_robin", |b| {
-        b.iter(|| apps::nbody_sas::run_with_paging(m(4), &cfg, PagePolicy::RoundRobin))
+        b.iter(|| apps::nbody_sas::run(m(4), &cfg, PagePolicy::RoundRobin, RunOpts::default()))
     });
 }
 
@@ -31,10 +31,10 @@ fn bench_remap(c: &mut Criterion) {
         ..AmrConfig::small()
     };
     c.bench_function("ablation_amr_with_remap", |b| {
-        b.iter(|| apps::amr_mp::run(m(4), &with))
+        b.iter(|| apps::amr_mp::run(m(4), &with, RunOpts::default()))
     });
     c.bench_function("ablation_amr_without_remap", |b| {
-        b.iter(|| apps::amr_mp::run(m(4), &without))
+        b.iter(|| apps::amr_mp::run(m(4), &without, RunOpts::default()))
     });
 }
 
@@ -42,10 +42,10 @@ fn bench_hybrid_layouts(c: &mut Criterion) {
     let am = AmrConfig::small();
     let nb = NBodyConfig::small();
     c.bench_function("ablation_amr_hybrid", |b| {
-        b.iter(|| apps::amr_hybrid::run(m(4), &am))
+        b.iter(|| apps::amr_hybrid::run(m(4), &am, RunOpts::default()))
     });
     c.bench_function("ablation_nbody_hybrid", |b| {
-        b.iter(|| apps::nbody_hybrid::run(m(4), &nb))
+        b.iter(|| apps::nbody_hybrid::run(m(4), &nb, RunOpts::default()))
     });
 }
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
-use apps::{run_app, AmrConfig, App, Model, NBodyConfig};
+use apps::{run_app_opts, AmrConfig, App, Model, NBodyConfig, RunOpts};
 use machine::{Machine, MachineConfig};
 
 fn bench_apps(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_apps(c: &mut Criterion) {
             let m = Arc::clone(&machine);
             let (nb, am) = (nb.clone(), am.clone());
             c.bench_function(&name, move |b| {
-                b.iter(|| run_app(Arc::clone(&m), app, model, &nb, &am))
+                b.iter(|| run_app_opts(Arc::clone(&m), app, model, &nb, &am, RunOpts::default()))
             });
         }
     }

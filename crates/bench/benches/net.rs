@@ -12,11 +12,9 @@
 //! * `fabric_route_recorded_*` — the delta in context: routing transfers
 //!   through a 32-node queued fabric with span recording on, the exact
 //!   path `repro --trace` and the hotspot reports exercise.
-//! * `fabric_charge_{scalar,batched}_16` — one coherence-protocol charge
-//!   run (a line fill plus an invalidation sweep, 16 destinations) priced
-//!   as 16 separate `route` calls versus one `try_route_many` walk over
-//!   the SoA resource table: the lock-amortisation the `ChargeRun` engine
-//!   buys on the CC-SAS hot path.
+//! * `fabric_charge_scalar_16` — one coherence-protocol window (a line
+//!   fill plus an invalidation sweep, 16 destinations) priced as 16
+//!   serialised `route` calls, the way the CC-SAS runtime charges it.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -110,7 +108,7 @@ fn bench_fabric_route(c: &mut Criterion) {
     }
 }
 
-fn bench_charge_batch(c: &mut Criterion) {
+fn bench_charge_window(c: &mut Criterion) {
     let pes = 64;
     let topo = Topology::new(pes, 2);
     let cfg = MachineConfig::origin2000();
@@ -131,27 +129,12 @@ fn bench_charge_batch(c: &mut Criterion) {
             black_box(pending)
         })
     });
-    c.bench_function("fabric_charge_batched_16", |b| {
-        let net = NetSim::new(&topo, &cfg);
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 50;
-            let src = (t as usize / 50) % nodes;
-            let items: Vec<(usize, usize)> =
-                (0..RUN).map(|i| ((src + 1 + i) % nodes, 128)).collect();
-            black_box(
-                net.try_route_many((src * 2) as u32, src, &items, t, true, 0)
-                    .unwrap()
-                    .delay,
-            )
-        })
-    });
 }
 
 criterion_group!(
     benches,
     bench_span_sink,
     bench_fabric_route,
-    bench_charge_batch
+    bench_charge_window
 );
 criterion_main!(benches);

@@ -13,12 +13,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
-use apps::Model;
+use apps::{Model, RunOpts};
 use machine::{ContentionMode, Machine, MachineConfig};
 use o2k_serve::clients;
 use o2k_serve::hist::LatencyHist;
 use o2k_serve::ServeConfig;
-use parallel::SchedPolicy;
 
 fn queued_machine(p: usize) -> Arc<Machine> {
     Arc::new(Machine::new(
@@ -57,18 +56,18 @@ fn bench_serve(c: &mut Criterion) {
         let cfg = cfg.clone();
         c.bench_function(&name, move |b| {
             b.iter(|| {
-                o2k_serve::run_sched(queued_machine(8), model, &cfg, Some(SchedPolicy::Det))
-                    .sim_time
+                o2k_serve::run_opts(queued_machine(8), model, &cfg, RunOpts::det_event()).sim_time
             })
         });
     }
 
+    let quick = o2k_bench::ExpOpts::new(true);
     c.bench_function("repro_q1_quick", |b| {
-        b.iter(|| o2k_bench::run_experiment("q1", true).len())
+        b.iter(|| o2k_bench::run_experiment("q1", &quick).len())
     });
 
     c.bench_function("repro_q2_quick", |b| {
-        b.iter(|| o2k_bench::run_experiment("q2", true).len())
+        b.iter(|| o2k_bench::run_experiment("q2", &quick).len())
     });
 }
 

@@ -7,12 +7,12 @@
 //! ```
 //!
 //! Output goes to stdout and to `results/<id>.txt`. With `--trace <dir>`
-//! (or the `O2K_TRACE=<dir>` environment variable), event tracing is
-//! enabled globally: every team run any experiment performs is recorded,
-//! and its trace written to `<dir>/<id>_runN.trace.json` in Chrome
-//! `trace_event` format (loadable at <https://ui.perfetto.dev>). Tracing
-//! never perturbs simulated times, so f1–f8/a1–a6 outputs are identical
-//! with it on.
+//! (or the `O2K_TRACE=<dir>` environment variable), every team run any
+//! experiment performs is recorded, and its trace written to
+//! `<dir>/<id>_runN.trace.json` in Chrome `trace_event` format (loadable
+//! at <https://ui.perfetto.dev>). Tracing never perturbs simulated times,
+//! so f1–f8/a1–a6 outputs are identical with it on. F9 traces its own runs
+//! and archives them under `results/`; it adds no `<dir>` files.
 //!
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
 //! policy: `det` (default here — every table is bitwise reproducible),
@@ -22,11 +22,13 @@
 //! on one OS thread. See DESIGN.md "Determinism & scheduling".
 //!
 //! `--fault <spec>` (or `O2K_FAULT=<spec>`) injects link faults into every
-//! machine the experiments build: `off` or
+//! machine the experiments build from a preset: `off` or
 //! `plan:<link>:<action>[@<ns>][;…]` with links `up<N>` / `down<N>` /
 //! `r<R>d<D>` and actions `kill` / `deg<F>` / `heal` (see DESIGN.md §4c).
-//! Faults only bite when the contention model is on; N2 carries its own
-//! plans and ignores this default.
+//! Faults only bite when the contention model is on. Machines an
+//! experiment gives its own fault plan ignore the flag: every N2 machine,
+//! healthy baseline included, Q1's sick fabric and every C1 cell. So N2's
+//! archive is the same with or without `--fault`.
 //!
 //! `--snapshot <dir>@<gate>[:index]` writes a checkpoint of every team
 //! run into `<dir>` when execution reaches the named snap gate (`step:4`,
@@ -40,7 +42,7 @@
 use std::fs;
 use std::time::Instant;
 
-use o2k_bench::{run_experiment, EXPERIMENT_IDS};
+use o2k_bench::{run_experiment, ExpOpts, EXPERIMENT_IDS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -52,8 +54,10 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(o2k_sched::SchedPolicy::Det);
-    // `None` leaves the `O2K_FAULT` / healthy default in place.
-    let mut fault: Option<machine::FaultMode> = None;
+    let mut fault = std::env::var("O2K_FAULT")
+        .ok()
+        .and_then(|s| machine::FaultMode::parse(&s))
+        .unwrap_or_default();
     let mut snap: Option<o2k_snap::SnapSpec> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter().filter(|a| *a != "--quick");
@@ -78,7 +82,7 @@ fn main() {
             }
         } else if a == "--fault" {
             match it.next().map(|s| machine::FaultMode::parse(s)) {
-                Some(Some(f)) => fault = Some(f),
+                Some(Some(f)) => fault = f,
                 _ => {
                     eprintln!(
                         "--fault requires a spec: off or plan:<link>:<action>[@<ns>][;...] \
@@ -118,18 +122,22 @@ fn main() {
         );
         std::process::exit(2);
     }
-    o2k_sched::set_default_policy(sched);
-    if let Some(f) = fault {
-        machine::fault::set_default_fault(f);
-    }
-    o2k_snap::set_spec(snap);
     if ids.iter().any(|i| i == "all") {
         ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
     }
-    if let Some(dir) = &trace_dir {
+    let sink = trace_dir.as_ref().map(|dir| {
         fs::create_dir_all(dir).expect("create trace dir");
-        o2k_trace::set_enabled(true);
-    }
+        o2k_trace::TraceSink::default()
+    });
+    let opts = ExpOpts {
+        run: apps::RunOpts {
+            sched: Some(sched),
+            snap,
+            trace: sink.clone(),
+        },
+        fault,
+        ..ExpOpts::new(quick)
+    };
     fs::create_dir_all("results").expect("create results dir");
     let mut sections = Vec::new();
     for id in &ids {
@@ -138,13 +146,13 @@ fn main() {
             std::process::exit(2);
         }
         let start = Instant::now();
-        let out = run_experiment(id, quick);
+        let out = run_experiment(id, &opts);
         let elapsed = start.elapsed();
         println!("{out}");
         println!("[{id} regenerated in {elapsed:.2?}]\n");
         fs::write(format!("results/{id}.txt"), &out).expect("write result file");
-        if let Some(dir) = &trace_dir {
-            for (n, trace) in o2k_trace::sink_drain().iter().enumerate() {
+        if let (Some(dir), Some(sink)) = (&trace_dir, &sink) {
+            for (n, trace) in sink.drain().iter().enumerate() {
                 let path = format!("{dir}/{id}_run{n}.trace.json");
                 fs::write(&path, o2k_trace::chrome::to_chrome_json(trace))
                     .expect("write trace json");

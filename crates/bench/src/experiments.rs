@@ -1,16 +1,17 @@
 //! The reconstructed evaluation suite (DESIGN.md §3): tables T1–T3,
 //! figures F1–F8, ablations A1–A6, scheduler study S1.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use apps::{AmrConfig, NBodyConfig};
-use apps::{App, Model};
-use machine::{Machine, MachineConfig};
+use apps::{AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts};
+use machine::{ContentionMode, FaultMode, Machine, MachineConfig};
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::dual_graph;
 use o2k_core::figure::{line_chart, stacked_bars};
 use o2k_core::table::{cells, ms, render, x2};
 use o2k_core::{effort_table, sweep_models, SweepResult};
+use parallel::{SchedPolicy, Team, TraceSink};
 use partition::{
     diffusion::diffuse, edge_cut, hilbert_partition, imbalance, morton_partition,
     multilevel_partition, rcb_partition, CsrGraph, WeightedPoint,
@@ -62,66 +63,127 @@ fn amr_cfg(quick: bool) -> AmrConfig {
     }
 }
 
-fn machine(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(p, MachineConfig::origin2000()))
+/// How an experiment runs. `repro` builds one from its flags; tests build
+/// their own, so no experiment reads process state.
+#[derive(Debug, Clone)]
+pub struct ExpOpts {
+    /// Shrink problem sizes and sweeps.
+    pub quick: bool,
+    /// Options every team run gets: scheduling policy, snapshot request,
+    /// trace sink. Experiments that pin a policy override only `sched`.
+    pub run: RunOpts,
+    /// Link faults for every machine an experiment builds from a preset,
+    /// except where the experiment sets its own fault plan.
+    pub fault: FaultMode,
+    /// Directory for the archives an experiment writes itself (F9's
+    /// traces).
+    pub results_dir: PathBuf,
 }
 
-/// Same machine, but with the interconnect contention model switched on.
-fn machine_queued(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(
-        p,
+impl ExpOpts {
+    /// Quick or full scale, default run options, healthy fabric, archives
+    /// under `results/`.
+    pub fn new(quick: bool) -> Self {
+        ExpOpts {
+            quick,
+            run: RunOpts::default(),
+            fault: FaultMode::Off,
+            results_dir: PathBuf::from("results"),
+        }
+    }
+
+    /// `cfg` with this run's fault plan.
+    fn preset(&self, cfg: MachineConfig) -> MachineConfig {
         MachineConfig {
-            contention: machine::ContentionMode::Queued,
-            ..MachineConfig::origin2000()
-        },
-    ))
+            fault: self.fault.clone(),
+            ..cfg
+        }
+    }
+
+    /// A `p`-PE machine built from the preset `cfg`.
+    fn machine_with(&self, p: usize, cfg: MachineConfig) -> Arc<Machine> {
+        Arc::new(Machine::new(p, self.preset(cfg)))
+    }
+
+    /// A `p`-PE stock Origin2000.
+    fn machine(&self, p: usize) -> Arc<Machine> {
+        self.machine_with(p, MachineConfig::origin2000())
+    }
+
+    /// Same machine, but with the interconnect contention model switched on.
+    fn machine_queued(&self, p: usize) -> Arc<Machine> {
+        self.machine_with(
+            p,
+            MachineConfig {
+                contention: ContentionMode::Queued,
+                ..MachineConfig::origin2000()
+            },
+        )
+    }
+
+    /// Same machine, but with the full contended-resource fabric: links
+    /// plus per-node SysAD buses and per-router hub arbitration ports.
+    fn machine_fabric(&self, p: usize) -> Arc<Machine> {
+        self.machine_with(
+            p,
+            MachineConfig {
+                contention: ContentionMode::Fabric,
+                ..MachineConfig::origin2000()
+            },
+        )
+    }
+
+    /// A team on `machine` under this run's options.
+    fn team(&self, machine: Arc<Machine>) -> Team {
+        self.run.configure(Team::new(machine))
+    }
+
+    /// [`apps::run_app_opts`] under this run's options.
+    fn run_on(
+        &self,
+        machine: Arc<Machine>,
+        app: App,
+        model: Model,
+        nb: &NBodyConfig,
+        am: &AmrConfig,
+    ) -> RunMetrics {
+        apps::run_app_opts(machine, app, model, nb, am, self.run.clone())
+    }
 }
 
-/// Same machine, but with the full contended-resource fabric: links plus
-/// per-node SysAD buses and per-router hub arbitration ports.
-fn machine_fabric(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(
-        p,
-        MachineConfig {
-            contention: machine::ContentionMode::Fabric,
-            ..MachineConfig::origin2000()
-        },
-    ))
-}
-
-/// Run one experiment by id; `quick` shrinks problem sizes and sweeps.
+/// Run one experiment by id under `o`.
 ///
 /// # Panics
 /// Panics on an unknown id.
-pub fn run_experiment(id: &str, quick: bool) -> String {
+pub fn run_experiment(id: &str, o: &ExpOpts) -> String {
     match id {
         "t1" => t1_machine(),
         "t2" => t2_effort(),
         "t3" => t3_partitioners(),
-        "t4" => t4_microbench(),
-        "f1" => f_speedup(App::NBody, quick),
-        "f2" => f_breakdown(App::NBody, quick),
-        "f3" => f_speedup(App::Amr, quick),
-        "f4" => f_breakdown(App::Amr, quick),
-        "f5" => f5_comm_volume(quick),
-        "f6" => f6_balance(quick),
-        "f7" => f7_traffic_structure(quick),
-        "f8" => f8_cache(quick),
-        "f9" => f9_critical_path(quick),
-        "a1" => a1_paging(quick),
-        "a2" => a2_remap(quick),
-        "a3" => a3_partitioning(quick),
-        "a4" => a4_numa_sensitivity(quick),
-        "a5" => a5_hybrid(quick),
-        "a6" => a6_self_schedule(quick),
-        "s1" => s1_scheduler_policies(quick),
-        "n1" => n1_contention(quick),
-        "n2" => n2_fault(quick),
-        "n3" => n3_bus_saturation(quick),
-        "q1" => q1_serving(quick),
-        "q2" => q2_mitigation(quick),
-        "e1" => e1_scale(quick),
-        "c1" => c1_warm_start(quick),
+        "t4" => t4_microbench(o),
+        "f1" => f_speedup(App::NBody, o),
+        "f2" => f_breakdown(App::NBody, o),
+        "f3" => f_speedup(App::Amr, o),
+        "f4" => f_breakdown(App::Amr, o),
+        "f5" => f5_comm_volume(o),
+        "f6" => f6_balance(o),
+        "f7" => f7_traffic_structure(o),
+        "f8" => f8_cache(o),
+        "f9" => f9_critical_path(o),
+        "a1" => a1_paging(o),
+        "a2" => a2_remap(o),
+        "a3" => a3_partitioning(o),
+        "a4" => a4_numa_sensitivity(o),
+        "a5" => a5_hybrid(o),
+        "a6" => a6_self_schedule(o),
+        "s1" => s1_scheduler_policies(o),
+        "n1" => n1_contention(o),
+        "n2" => n2_fault(o),
+        "n3" => n3_bus_saturation(o),
+        "q1" => q1_serving(o),
+        "q2" => q2_mitigation(o),
+        "e1" => e1_scale(o),
+        "c1" => c1_warm_start(o),
         other => panic!("unknown experiment id {other:?}"),
     }
 }
@@ -267,24 +329,23 @@ fn t3_partitioners() -> String {
     )
 }
 
-fn t4_microbench() -> String {
+fn t4_microbench(o: &ExpOpts) -> String {
     // The communication-parameter table every paper of the era includes,
     // *measured* on the simulated machine by running the primitives —
     // a self-validation that the runtimes charge what the model says.
     use mp::{MpWorld, RecvSpec};
-    use parallel::Team;
     use sas::SasWorld;
     use shmem::SymWorld;
 
     let p = 16;
-    let m = machine(p);
+    let m = o.machine(p);
     let mut rows = Vec::new();
 
     // Two-sided round trip / 2 for varying sizes, ranks 0 <-> p-1.
     let mpw = MpWorld::new(Arc::clone(&m));
     for bytes in [8usize, 1024, 65_536] {
         let words = bytes / 8;
-        let run = Team::new(Arc::clone(&m)).run(|ctx| {
+        let run = o.team(Arc::clone(&m)).run(|ctx| {
             let reps = 10u64;
             let t0 = ctx.now();
             for _ in 0..reps {
@@ -308,7 +369,7 @@ fn t4_microbench() -> String {
     let shw = SymWorld::new(Arc::clone(&m));
     for bytes in [8usize, 1024, 65_536] {
         let words = bytes / 8;
-        let run = Team::new(Arc::clone(&m)).run(|ctx| {
+        let run = o.team(Arc::clone(&m)).run(|ctx| {
             let sym = shw.alloc::<u64>(ctx, words.max(1));
             let reps = 10u64;
             let data = vec![0u64; words];
@@ -336,7 +397,7 @@ fn t4_microbench() -> String {
 
     // SAS remote line fetch: PE p-1 reads a line homed on node 0.
     let sasw = SasWorld::new(Arc::clone(&m));
-    let run = Team::new(Arc::clone(&m)).run(|ctx| {
+    let run = o.team(Arc::clone(&m)).run(|ctx| {
         let sh = sasw.alloc::<u64>(ctx, 1024);
         let mut pe = sasw.pe();
         if ctx.pe() == 0 {
@@ -355,8 +416,8 @@ fn t4_microbench() -> String {
 
     // Barrier costs vs team size.
     for pes in [4usize, 16, 64] {
-        let mb = machine(pes);
-        let run = Team::new(mb).run(|ctx| {
+        let mb = o.machine(pes);
+        let run = o.team(mb).run(|ctx| {
             let reps = 10u64;
             let t0 = ctx.now();
             for _ in 0..reps {
@@ -386,18 +447,20 @@ microbenchmark table of the era, doubling as a model self-check.
 
 // ---------------------------------------------------------------- figures
 
-fn do_sweep(app: App, quick: bool) -> SweepResult {
+fn do_sweep(app: App, o: &ExpOpts) -> SweepResult {
     sweep_models(
         app,
         &Model::ALL,
-        &sweep_pes(quick),
-        &nbody_cfg(quick),
-        &amr_cfg(quick),
+        &sweep_pes(o.quick),
+        &nbody_cfg(o.quick),
+        &amr_cfg(o.quick),
+        &o.preset(MachineConfig::origin2000()),
+        &o.run,
     )
 }
 
-fn f_speedup(app: App, quick: bool) -> String {
-    let sweep = do_sweep(app, quick);
+fn f_speedup(app: App, o: &ExpOpts) -> String {
+    let sweep = do_sweep(app, o);
     let id = if app == App::NBody { "F1" } else { "F3" };
     let mut rows = Vec::new();
     for (pi, &p) in sweep.pes.iter().enumerate() {
@@ -437,14 +500,14 @@ fn f_speedup(app: App, quick: bool) -> String {
     )
 }
 
-fn f_breakdown(app: App, quick: bool) -> String {
+fn f_breakdown(app: App, o: &ExpOpts) -> String {
     let id = if app == App::NBody { "F2" } else { "F4" };
-    let p = if quick { 8 } else { 32 };
-    let m = machine(p);
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 8 } else { 32 };
+    let m = o.machine(p);
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let runs: Vec<_> = Model::ALL
         .iter()
-        .map(|&model| apps::run_app(Arc::clone(&m), app, model, &nb, &am))
+        .map(|&model| o.run_on(Arc::clone(&m), app, model, &nb, &am))
         .collect();
     let labels: Vec<&str> = Model::ALL.iter().map(|m| m.name()).collect();
     let fractions: Vec<Vec<f64>> = runs
@@ -483,10 +546,10 @@ fn f_breakdown(app: App, quick: bool) -> String {
     )
 }
 
-fn f5_comm_volume(quick: bool) -> String {
+fn f5_comm_volume(o: &ExpOpts) -> String {
     let mut out = String::from("F5: communication volume vs processors (KB total)\n");
     for app in [App::NBody, App::Amr] {
-        let sweep = do_sweep(app, quick);
+        let sweep = do_sweep(app, o);
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let mut rows = Vec::new();
@@ -508,9 +571,9 @@ fn f5_comm_volume(quick: bool) -> String {
     out
 }
 
-fn f6_balance(quick: bool) -> String {
-    let cfg = amr_cfg(quick);
-    let p = if quick { 8 } else { 16 };
+fn f6_balance(o: &ExpOpts) -> String {
+    let cfg = amr_cfg(o.quick);
+    let p = if o.quick { 8 } else { 16 };
     let with = apps::amr_common::balance_series(&cfg, p);
     let no_cfg = AmrConfig {
         use_remap: false,
@@ -546,16 +609,16 @@ fn f6_balance(quick: bool) -> String {
     )
 }
 
-fn f7_traffic_structure(quick: bool) -> String {
-    let p = if quick { 8 } else { 16 };
-    let m = machine(p);
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+fn f7_traffic_structure(o: &ExpOpts) -> String {
+    let p = if o.quick { 8 } else { 16 };
+    let m = o.machine(p);
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let mut out = String::from(
         "F7: traffic structure at P=16 — message-size histogram (MPI) and\none-sided operation counts (SHMEM)\n",
     );
     for app in [App::NBody, App::Amr] {
-        let mp = apps::run_app(Arc::clone(&m), app, Model::Mp, &nb, &am);
-        let sh = apps::run_app(Arc::clone(&m), app, Model::Shmem, &nb, &am);
+        let mp = o.run_on(Arc::clone(&m), app, Model::Mp, &nb, &am);
+        let sh = o.run_on(Arc::clone(&m), app, Model::Shmem, &nb, &am);
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let h = mp.counters.msg_size_hist;
@@ -575,15 +638,15 @@ fn f7_traffic_structure(quick: bool) -> String {
     out
 }
 
-fn f8_cache(quick: bool) -> String {
+fn f8_cache(o: &ExpOpts) -> String {
     let mut out = String::from("F8: CC-SAS cache behaviour vs processors\n");
     for app in [App::NBody, App::Amr] {
-        let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+        let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let mut rows = Vec::new();
-        for &p in &sweep_pes(quick) {
-            let r = apps::run_app(machine(p), app, Model::Sas, &nb, &am);
+        for &p in &sweep_pes(o.quick) {
+            let r = o.run_on(o.machine(p), app, Model::Sas, &nb, &am);
             rows.push(vec![
                 p.to_string(),
                 format!("{:.4}", r.counters.miss_ratio()),
@@ -599,18 +662,23 @@ fn f8_cache(quick: bool) -> String {
     out
 }
 
-fn f9_critical_path(quick: bool) -> String {
+fn f9_critical_path(o: &ExpOpts) -> String {
     // Event tracing plus critical-path analysis: where does the end-to-end
     // simulated time actually go, for each application under each model?
     // Traces are archived as Perfetto-loadable Chrome JSON next to the
     // text outputs.
-    let p = if quick { 8 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
-    let out_dir = std::env::var("O2K_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let _ = std::fs::create_dir_all(&out_dir);
-
-    let was_enabled = o2k_trace::enabled();
-    o2k_trace::set_enabled(true);
+    let p = if o.quick { 8 } else { 32 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
+    let _ = std::fs::create_dir_all(&o.results_dir);
+    // Every run here is traced into a private sink: its traces are
+    // archived below, not passed on to the caller's sink.
+    let o = &ExpOpts {
+        run: RunOpts {
+            trace: Some(TraceSink::default()),
+            ..o.run.clone()
+        },
+        ..o.clone()
+    };
 
     let mut out = format!(
         "F9: event traces and critical-path analysis at P={p}\n\
@@ -618,23 +686,24 @@ fn f9_critical_path(quick: bool) -> String {
     );
     for app in [App::Amr, App::NBody] {
         for model in Model::ALL {
-            let r = apps::run_app(machine(p), app, model, &nb, &am);
+            let r = o.run_on(o.machine(p), app, model, &nb, &am);
             let trace = r.trace.as_ref().expect("tracing was enabled");
             let slug = format!(
                 "f9_{}_{}",
                 app.name().to_lowercase().replace('-', ""),
                 model.name().to_lowercase().replace(['-', '+'], "")
             );
-            let path = format!("{out_dir}/{slug}.trace.json");
+            let path = o.results_dir.join(format!("{slug}.trace.json"));
             std::fs::write(&path, o2k_trace::chrome::to_chrome_json(trace))
                 .expect("write trace json");
             let stats = o2k_trace::critpath::critical_path(trace);
             out.push_str(&format!(
-                "\n--- {} / {} — {} events across {} PEs, archived to {path}\n",
+                "\n--- {} / {} — {} events across {} PEs, archived to {}\n",
                 app.name(),
                 model.name(),
                 trace.total_events(),
                 trace.pes(),
+                path.display(),
             ));
             out.push_str(&o2k_trace::critpath::render_table(&stats));
             // One terminal timeline for the headline case (AMR under MPI:
@@ -660,7 +729,7 @@ fn f9_critical_path(quick: bool) -> String {
             steps: k,
             ..am.clone()
         };
-        let r = apps::amr_mp::run(machine_queued(p), &cfg);
+        let r = apps::amr_mp::run(o.machine_queued(p), &cfg, o.run.clone());
         // These are totals from *separate* runs, not snapshots of one run:
         // the k-step run's final sync moves different-sized messages than
         // the (k-1)-step run's, so only the aggregate fields printed here
@@ -701,28 +770,21 @@ fn f9_critical_path(quick: bool) -> String {
         "\nAMR / MPI link hotspots by phase ({}-step run):\n{phase_report}",
         am.steps
     ));
-
-    if !was_enabled {
-        o2k_trace::set_enabled(false);
-    }
-    // The runs above also pushed their traces to the process-wide sink;
-    // they are archived already, so drop them.
-    let _ = o2k_trace::sink_drain();
     out
 }
 
 // -------------------------------------------------------------- ablations
 
-fn a1_paging(quick: bool) -> String {
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+fn a1_paging(o: &ExpOpts) -> String {
+    let p = if o.quick { 8 } else { 16 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let mut rows = Vec::new();
     for (name, policy) in [
         ("first-touch", PagePolicy::FirstTouch),
         ("round-robin", PagePolicy::RoundRobin),
     ] {
-        let n = apps::nbody_sas::run_with_paging(machine(p), &nb, policy);
-        let a = apps::amr_sas::run_with_paging(machine(p), &am, policy);
+        let n = apps::nbody_sas::run(o.machine(p), &nb, policy, o.run.clone());
+        let a = apps::amr_sas::run(o.machine(p), &am, policy, o.run.clone());
         rows.push(vec![
             name.to_string(),
             ms(n.sim_time),
@@ -740,16 +802,16 @@ fn a1_paging(quick: bool) -> String {
     )
 }
 
-fn a2_remap(quick: bool) -> String {
-    let p = if quick { 8 } else { 16 };
-    let base = amr_cfg(quick);
+fn a2_remap(o: &ExpOpts) -> String {
+    let p = if o.quick { 8 } else { 16 };
+    let base = amr_cfg(o.quick);
     let mut rows = Vec::new();
     for (name, use_remap) in [("with PLUM remap", true), ("without remap", false)] {
         let cfg = AmrConfig {
             use_remap,
             ..base.clone()
         };
-        let r = apps::amr_mp::run(machine(p), &cfg);
+        let r = apps::amr_mp::run(o.machine(p), &cfg, o.run.clone());
         let moved: f64 = apps::amr_common::balance_series(&cfg, p)
             .iter()
             .map(|s| s.2)
@@ -769,15 +831,15 @@ fn a2_remap(quick: bool) -> String {
     )
 }
 
-fn a3_partitioning(quick: bool) -> String {
+fn a3_partitioning(o: &ExpOpts) -> String {
     // Load-balance quality of costzones (SAS) vs ORB (MP): spread of busy
     // time across PEs.
-    let p = if quick { 8 } else { 16 };
-    let nb = nbody_cfg(quick);
-    let am = amr_cfg(quick);
+    let p = if o.quick { 8 } else { 16 };
+    let nb = nbody_cfg(o.quick);
+    let am = amr_cfg(o.quick);
     let mut rows = Vec::new();
     for model in [Model::Sas, Model::Mp] {
-        let r = apps::run_app(machine(p), App::NBody, model, &nb, &am);
+        let r = o.run_on(o.machine(p), App::NBody, model, &nb, &am);
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -798,12 +860,12 @@ fn a3_partitioning(quick: bool) -> String {
     )
 }
 
-fn a4_numa_sensitivity(quick: bool) -> String {
+fn a4_numa_sensitivity(o: &ExpOpts) -> String {
     // Extension beyond the paper: how does the model ranking depend on the
     // machine's NUMA remoteness? Scale the per-hop latency and re-run the
     // AMR comparison at fixed P.
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 8 } else { 16 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let base = MachineConfig::origin2000();
     let mut rows = Vec::new();
     for factor in [0u64, 1, 4, 16] {
@@ -811,10 +873,10 @@ fn a4_numa_sensitivity(quick: bool) -> String {
             lat_hop: base.lat_hop * factor,
             ..base.clone()
         };
-        let m = Arc::new(Machine::new(p, cfg));
+        let m = o.machine_with(p, cfg);
         let mut row = vec![format!("{}x ({} ns/hop)", factor, base.lat_hop * factor)];
         for model in Model::ALL {
-            let r = apps::run_app(Arc::clone(&m), App::Amr, model, &nb, &am);
+            let r = o.run_on(Arc::clone(&m), App::Amr, model, &nb, &am);
             row.push(ms(r.sim_time));
         }
         rows.push(row);
@@ -839,22 +901,22 @@ fine-grained access and MPI becomes competitive again.
     )
 }
 
-fn a5_hybrid(quick: bool) -> String {
+fn a5_hybrid(o: &ExpOpts) -> String {
     // Extension: the follow-up papers' hybrid (MP between nodes, SAS
     // within) against the three pure models, on the stock machine and on a
     // deep-NUMA variant where fine-grained remote access is expensive.
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 8 } else { 16 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let mut rows = Vec::new();
     for app in [App::NBody, App::Amr] {
         for (label, cfg) in [
             ("Origin2000", MachineConfig::origin2000()),
             ("cluster of SMPs", MachineConfig::cluster_of_smps()),
         ] {
-            let m = Arc::new(Machine::new(p, cfg));
+            let m = o.machine_with(p, cfg);
             let mut row = vec![format!("{} / {}", app.name(), label)];
             for model in Model::WITH_HYBRID {
-                let r = apps::run_app(Arc::clone(&m), app, model, &nb, &am);
+                let r = o.run_on(Arc::clone(&m), app, model, &nb, &am);
                 row.push(ms(r.sim_time));
             }
             rows.push(row);
@@ -870,16 +932,16 @@ fn a5_hybrid(quick: bool) -> String {
             ("Origin2000", MachineConfig::origin2000()),
             ("cluster of SMPs", MachineConfig::cluster_of_smps()),
         ] {
-            let m = Arc::new(Machine::new(
+            let m = o.machine_with(
                 p,
                 MachineConfig {
-                    contention: machine::ContentionMode::Fabric,
+                    contention: ContentionMode::Fabric,
                     ..cfg
                 },
-            ));
+            );
             let mut row = vec![format!("{} / {}", app.name(), label)];
             for model in Model::WITH_HYBRID {
-                let r = apps::run_app(Arc::clone(&m), app, model, &nb, &am);
+                let r = o.run_on(Arc::clone(&m), app, model, &nb, &am);
                 row.push(ms(r.sim_time));
             }
             frows.push(row);
@@ -898,11 +960,11 @@ fn a5_hybrid(quick: bool) -> String {
     )
 }
 
-fn a6_self_schedule(quick: bool) -> String {
+fn a6_self_schedule(o: &ExpOpts) -> String {
     // Ablation: the classic SAS self-scheduled loop (chunks claimed from a
     // shared counter) vs the static block schedule, for the CC-SAS AMR.
-    let p = if quick { 8 } else { 16 };
-    let base = amr_cfg(quick);
+    let p = if o.quick { 8 } else { 16 };
+    let base = amr_cfg(o.quick);
     let mut rows = Vec::new();
     for (name, dynamic) in [
         ("static blocks", false),
@@ -915,11 +977,11 @@ fn a6_self_schedule(quick: bool) -> String {
         // Pin the claim order with the deterministic scheduler so the row
         // is exactly reproducible (claiming is a genuine fetch-add race;
         // see `apps::amr_sas`).
-        let r = apps::amr_sas::run_with(
-            machine(p),
+        let r = apps::amr_sas::run(
+            o.machine(p),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(parallel::SchedPolicy::Det),
+            o.run.with_sched(SchedPolicy::Det),
         );
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
@@ -941,19 +1003,23 @@ fn a6_self_schedule(quick: bool) -> String {
     )
 }
 
-fn s1_scheduler_policies(quick: bool) -> String {
-    use parallel::SchedPolicy;
+fn s1_scheduler_policies(o: &ExpOpts) -> String {
     // Scheduler study: the same self-scheduled CC-SAS AMR under every
     // scheduling policy. Deterministic runs repeat bitwise (same schedule
     // fingerprint, same times); exploration seeds pick distinct
     // interleavings; the physics checksum never moves.
-    let p = if quick { 4 } else { 8 };
+    let p = if o.quick { 4 } else { 8 };
     let cfg = AmrConfig {
         sas_self_schedule: true,
         ..AmrConfig::small()
     };
     let go = |policy: SchedPolicy| {
-        apps::amr_sas::run_with(machine(p), &cfg, PagePolicy::FirstTouch, Some(policy))
+        apps::amr_sas::run(
+            o.machine(p),
+            &cfg,
+            PagePolicy::FirstTouch,
+            o.run.with_sched(policy),
+        )
     };
     let det_a = go(SchedPolicy::Det);
     let det_b = go(SchedPolicy::Det);
@@ -1005,10 +1071,8 @@ fn s1_scheduler_policies(quick: bool) -> String {
     )
 }
 
-fn n1_contention(quick: bool) -> String {
-    use machine::ContentionMode;
+fn n1_contention(o: &ExpOpts) -> String {
     use mp::MpWorld;
-    use parallel::Team;
     use sas::SasWorld;
 
     // Contention sweep: the same traffic on the analytic (uncontended)
@@ -1016,26 +1080,26 @@ fn n1_contention(quick: bool) -> String {
     // routed hop-by-hop over the hypercube; a busy link delays it, so
     // concentrated traffic pays where the analytic model charges a
     // load-independent latency.
-    let pes: Vec<usize> = if quick {
+    let pes: Vec<usize> = if o.quick {
         vec![4, 8]
     } else {
         vec![4, 8, 16, 32, 64]
     };
     let mach = |p: usize, mode: ContentionMode| -> Arc<Machine> {
         match mode {
-            ContentionMode::Off => machine(p),
-            ContentionMode::Queued => machine_queued(p),
-            ContentionMode::Fabric => machine_fabric(p),
+            ContentionMode::Off => o.machine(p),
+            ContentionMode::Queued => o.machine_queued(p),
+            ContentionMode::Fabric => o.machine_fabric(p),
         }
     };
 
     // (a) MPI personalised all-to-all: every PE sends a chunk to every
     // other PE — the bisection-stressing pattern.
-    let words = if quick { 512 } else { 2048 };
+    let words = if o.quick { 512 } else { 2048 };
     let alltoall = |p: usize, mode: ContentionMode| {
         let m = mach(p, mode);
         let mpw = MpWorld::new(Arc::clone(&m));
-        Team::new(Arc::clone(&m)).run(move |ctx| {
+        o.team(Arc::clone(&m)).run(move |ctx| {
             let sends: Vec<Vec<u64>> = (0..p).map(|_| vec![7u64; words]).collect();
             let r = mpw.alltoallv(ctx, sends);
             r.len() as u64
@@ -1048,7 +1112,7 @@ fn n1_contention(quick: bool) -> String {
     let hotspot = |p: usize, mode: ContentionMode| {
         let m = mach(p, mode);
         let sasw = SasWorld::new(Arc::clone(&m));
-        Team::new(Arc::clone(&m)).run(move |ctx| {
+        o.team(Arc::clone(&m)).run(move |ctx| {
             let sh = sasw.alloc::<u64>(ctx, lines * 16);
             let mut pe = sasw.pe();
             if ctx.pe() == 0 {
@@ -1135,13 +1199,13 @@ fn n1_contention(quick: bool) -> String {
     // (c) Both applications under all three models, off vs queued, at a
     // fixed P: how much does the analytic model understate by ignoring
     // contention on real adaptive traffic?
-    let p = if quick { 8 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 8 } else { 32 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let mut rows = Vec::new();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let off = apps::run_app(machine(p), app, model, &nb, &am);
-            let q = apps::run_app(machine_queued(p), app, model, &nb, &am);
+            let off = o.run_on(o.machine(p), app, model, &nb, &am);
+            let q = o.run_on(o.machine_queued(p), app, model, &nb, &am);
             let s = q.net.expect("queued run reports NetStats");
             rows.push(vec![
                 format!("{} / {}", app.name(), model.name()),
@@ -1180,8 +1244,8 @@ fn n1_contention(quick: bool) -> String {
     let mut rows = Vec::new();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let q = apps::run_app(machine_queued(p), app, model, &nb, &am);
-            let f = apps::run_app(machine_fabric(p), app, model, &nb, &am);
+            let q = o.run_on(o.machine_queued(p), app, model, &nb, &am);
+            let f = o.run_on(o.machine_fabric(p), app, model, &nb, &am);
             assert_eq!(f.checksum, q.checksum, "fabric changed physics");
             let s = f.net.as_ref().expect("fabric run reports NetStats");
             assert!(
@@ -1218,20 +1282,19 @@ fn n1_contention(quick: bool) -> String {
     out
 }
 
-fn n2_fault(quick: bool) -> String {
-    use machine::{ContentionMode, FaultMode};
-    use parallel::SchedPolicy;
-
+fn n2_fault(o: &ExpOpts) -> String {
     // Fault-injection sweep: the same workloads on the queueing
     // interconnect, healthy vs one degraded link vs one killed router
     // port. Degrade multiplies a link's service time; kill removes a
     // router edge and every transfer that would cross it detours over the
     // surviving hypercube edges. P must give the routers at least two
     // dimensions or the cut has no detour (quick keeps P=16, not 8).
-    let p = if quick { 16 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 16 } else { 32 };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     let degraded_spec = "plan:down0:deg8";
     let faulted_spec = "plan:down0:deg8;r0d0:kill";
+    // N2 sets every machine's fault plan itself, the healthy baseline's
+    // included, so a run-wide fault cannot leak into the comparison.
     let faulty = |p: usize, spec: &str| -> Arc<Machine> {
         Arc::new(Machine::new(
             p,
@@ -1257,12 +1320,15 @@ fn n2_fault(quick: bool) -> String {
     let mut amr_mp_checksum = 0.0f64;
     // Pin the deterministic schedule: a fault comparison under free OS
     // interleaving confounds the fault's cost with schedule noise.
-    let det = Some(SchedPolicy::Det);
+    let det = ExpOpts {
+        run: o.run.with_sched(SchedPolicy::Det),
+        ..o.clone()
+    };
     for app in [App::Amr, App::NBody] {
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let healthy = apps::run_app_sched(machine_queued(p), app, model, &nb, &am, det);
-            let deg = apps::run_app_sched(faulty(p, degraded_spec), app, model, &nb, &am, det);
-            let dead = apps::run_app_sched(faulty(p, faulted_spec), app, model, &nb, &am, det);
+            let healthy = det.run_on(faulty(p, "off"), app, model, &nb, &am);
+            let deg = det.run_on(faulty(p, degraded_spec), app, model, &nb, &am);
+            let dead = det.run_on(faulty(p, faulted_spec), app, model, &nb, &am);
             // Graceful degradation: faults move time and traffic, never
             // the physics.
             assert_eq!(deg.checksum, healthy.checksum, "degrade changed physics");
@@ -1337,7 +1403,7 @@ fn n2_fault(quick: bool) -> String {
     let (healthy_t, deg_t) = amr_mp_times;
     let heal_at = deg_t / 4;
     let healed_spec = format!("plan:down0:deg8;down0:heal@{heal_at}");
-    let healed = apps::run_app_sched(faulty(p, &healed_spec), App::Amr, Model::Mp, &nb, &am, det);
+    let healed = det.run_on(faulty(p, &healed_spec), App::Amr, Model::Mp, &nb, &am);
     assert_eq!(healed.checksum, amr_mp_checksum, "heal changed physics");
     let hs = healed.net.as_ref().expect("queued run reports NetStats");
     assert_eq!(
@@ -1365,30 +1431,30 @@ fn n2_fault(quick: bool) -> String {
     out
 }
 
-fn n3_bus_saturation(quick: bool) -> String {
-    use machine::ContentionMode;
-    use parallel::SchedPolicy;
-
+fn n3_bus_saturation(o: &ExpOpts) -> String {
     // Bus-saturation sweep: fix the PE count and fatten the nodes. More
     // CPUs per node means more PEs arbitrating for each node's shared
     // SysAD bus and each router's hub port — the cluster-of-SMPs failure
     // mode the follow-up papers measured. Efficiency compares the analytic
     // (off) and fabric runs *at the same topology*, so the column isolates
     // pure resource contention from path-length effects.
-    let p = if quick { 8 } else { 16 };
-    let cpns: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = if o.quick { 8 } else { 16 };
+    let cpns: &[usize] = if o.quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
+    let (nb, am) = (nbody_cfg(o.quick), amr_cfg(o.quick));
     // Pin the deterministic schedule so the sweep is bitwise reproducible.
-    let det = Some(SchedPolicy::Det);
+    let det = ExpOpts {
+        run: o.run.with_sched(SchedPolicy::Det),
+        ..o.clone()
+    };
     let mach = |cpn: usize, mode: ContentionMode| -> Arc<Machine> {
-        Arc::new(Machine::new(
+        o.machine_with(
             p,
             MachineConfig {
                 cpus_per_node: cpn,
                 contention: mode,
                 ..MachineConfig::origin2000()
             },
-        ))
+        )
     };
 
     let mut out = format!(
@@ -1408,16 +1474,8 @@ fn n3_bus_saturation(quick: bool) -> String {
             let mut row = vec![cpn.to_string()];
             let mut by_kind = String::new();
             for (mi, &model) in Model::ALL.iter().enumerate() {
-                let off =
-                    apps::run_app_sched(mach(cpn, ContentionMode::Off), app, model, &nb, &am, det);
-                let fab = apps::run_app_sched(
-                    mach(cpn, ContentionMode::Fabric),
-                    app,
-                    model,
-                    &nb,
-                    &am,
-                    det,
-                );
+                let off = det.run_on(mach(cpn, ContentionMode::Off), app, model, &nb, &am);
+                let fab = det.run_on(mach(cpn, ContentionMode::Fabric), app, model, &nb, &am);
                 assert_eq!(fab.checksum, off.checksum, "fabric changed physics");
                 let s = fab.net.as_ref().expect("fabric run reports NetStats");
                 assert!(s.bus.transfers > 0, "fabric runs must cross node buses");
@@ -1492,21 +1550,18 @@ fn n3_bus_saturation(quick: bool) -> String {
     out
 }
 
-fn q1_serving(quick: bool) -> String {
-    use apps::RunMetrics;
-    use machine::{ContentionMode, FaultMode};
+fn q1_serving(o: &ExpOpts) -> String {
     use o2k_serve::{Mitigation, ServeConfig};
-    use parallel::SchedPolicy;
 
     // Tail latency of the sharded key-value service under the three
     // models, across four fabric conditions. Clients are open-loop
     // virtual-time event sources, so a million requests are a million
     // table lookups; every run pins the deterministic schedule so the
     // quantiles replay bitwise.
-    let p = if quick { 16 } else { 32 };
+    let p = if o.quick { 16 } else { 32 };
     let base = ServeConfig {
-        keys: if quick { 8_192 } else { 32_768 },
-        requests: if quick { 40_000 } else { 90_000 },
+        keys: if o.quick { 8_192 } else { 32_768 },
+        requests: if o.quick { 40_000 } else { 90_000 },
         mean_gap_ns: 25_000,
         skew: 1.0,
         val_words: 32,
@@ -1518,7 +1573,7 @@ fn q1_serving(quick: bool) -> String {
         start_ns: 0,
     };
     let sick_spec = "plan:down0:deg8;r0d0:kill";
-    let det = Some(SchedPolicy::Det);
+    let det = o.run.with_sched(SchedPolicy::Det);
     let scenarios: [(&str, &str); 4] = [
         ("healthy", "queued fabric, uniform keys"),
         ("skewed", "queued fabric, key skew 3.0 piles onto shard 0"),
@@ -1526,23 +1581,26 @@ fn q1_serving(quick: bool) -> String {
         ("fat-nodes", "full fabric (buses+hubs), 8 CPUs per node"),
     ];
     let mach = |scen: &str| -> Arc<Machine> {
-        let cfg = match scen {
-            "sick" => MachineConfig {
-                contention: ContentionMode::Queued,
-                fault: FaultMode::parse(sick_spec).expect("valid fault spec"),
-                ..MachineConfig::origin2000()
-            },
-            "fat-nodes" => MachineConfig {
-                contention: ContentionMode::Fabric,
-                cpus_per_node: 8,
-                ..MachineConfig::origin2000()
-            },
-            _ => MachineConfig {
-                contention: ContentionMode::Queued,
-                ..MachineConfig::origin2000()
-            },
-        };
-        Arc::new(Machine::new(p, cfg))
+        match scen {
+            // The sick scenario sets its own fault plan.
+            "sick" => Arc::new(Machine::new(
+                p,
+                MachineConfig {
+                    contention: ContentionMode::Queued,
+                    fault: FaultMode::parse(sick_spec).expect("valid fault spec"),
+                    ..MachineConfig::origin2000()
+                },
+            )),
+            "fat-nodes" => o.machine_with(
+                p,
+                MachineConfig {
+                    contention: ContentionMode::Fabric,
+                    cpus_per_node: 8,
+                    ..MachineConfig::origin2000()
+                },
+            ),
+            _ => o.machine_queued(p),
+        }
     };
     let serve_cfg = |scen: &str| -> ServeConfig {
         ServeConfig {
@@ -1569,7 +1627,7 @@ fn q1_serving(quick: bool) -> String {
         let cfg = serve_cfg(scen);
         let mut checksums = [0.0f64; 3];
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let r: RunMetrics = o2k_serve::run_sched(mach(scen), model, &cfg, det);
+            let r = o2k_serve::run_opts(mach(scen), model, &cfg, det.clone());
             let s = r.serve.as_ref().expect("serving run carries ServeStats");
             assert_eq!(s.issued, cfg.requests, "every request admitted");
             assert_eq!(s.completed, cfg.requests, "no shedding without deadline");
@@ -1621,7 +1679,7 @@ fn q1_serving(quick: bool) -> String {
     out.push_str(&format!(
         "\nTotal simulated client requests: {total_requests}\n"
     ));
-    if !quick {
+    if !o.quick {
         assert!(
             total_requests >= 1_000_000,
             "the full suite must serve at least a million requests"
@@ -1670,8 +1728,7 @@ fn q1_serving(quick: bool) -> String {
     out
 }
 
-fn q2_mitigation(quick: bool) -> String {
-    use apps::{RunMetrics, RunOpts};
+fn q2_mitigation(o: &ExpOpts) -> String {
     use o2k_serve::{Mitigation, ServeConfig};
 
     // Q2: hot-shard mitigation at scale. The Q1 skew scenario rerun on
@@ -1685,7 +1742,11 @@ fn q2_mitigation(quick: bool) -> String {
     // schedule, so each cell replays bitwise — and with uniform keys the
     // mitigation plan is empty, which must leave runs *bitwise identical*
     // to mitigation off.
-    let ps: Vec<usize> = if quick { vec![64] } else { vec![64, 256, 1024] };
+    let ps: Vec<usize> = if o.quick {
+        vec![64]
+    } else {
+        vec![64, 256, 1024]
+    };
     let mk_cfg = |p: usize, skew: f64, mitigation: Mitigation| ServeConfig {
         keys: 64 * p,
         requests: 32 * p as u64,
@@ -1730,7 +1791,8 @@ fn q2_mitigation(quick: bool) -> String {
             let mut off: Vec<(Model, RunMetrics)> = Vec::new();
             for &(model, mit, label) in &grid {
                 let cfg = mk_cfg(p, skew, mit);
-                let r = o2k_serve::run_opts(machine_queued(p), model, &cfg, RunOpts::det_event());
+                let det = o.run.with_sched(SchedPolicy::Det);
+                let r = o2k_serve::run_opts(o.machine_queued(p), model, &cfg, det);
                 let s = r.serve.as_ref().expect("serving run carries ServeStats");
                 assert_eq!(s.issued, cfg.requests, "{label}: every request admitted");
                 assert_eq!(
@@ -1846,8 +1908,7 @@ fn q2_mitigation(quick: bool) -> String {
     out
 }
 
-fn e1_scale(quick: bool) -> String {
-    use apps::{RunMetrics, RunOpts};
+fn e1_scale(o: &ExpOpts) -> String {
     use o2k_serve::ServeConfig;
 
     // E1: event-core scaling. The event core runs every PE as a coroutine
@@ -1855,32 +1916,32 @@ fn e1_scale(quick: bool) -> String {
     // table is simulated time only, so it replays bitwise — the
     // wall-clock trajectory lives in BENCH_exec.json, which is allowed to
     // vary by host.
-    let pes: Vec<usize> = if quick {
+    let pes: Vec<usize> = if o.quick {
         vec![16, 64, 256]
     } else {
         vec![64, 256, 1024]
     };
     let nb = NBodyConfig {
-        n: if quick { 512 } else { 4_096 },
+        n: if o.quick { 512 } else { 4_096 },
         steps: 2,
         ..NBodyConfig::default()
     };
     let am = AmrConfig {
-        nx: if quick { 32 } else { 64 },
-        ny: if quick { 32 } else { 64 },
-        steps: if quick { 1 } else { 2 },
-        sweeps: if quick { 1 } else { 2 },
+        nx: if o.quick { 32 } else { 64 },
+        ny: if o.quick { 32 } else { 64 },
+        steps: if o.quick { 1 } else { 2 },
+        sweeps: if o.quick { 1 } else { 2 },
         ..AmrConfig::default()
     };
     // SHMEM serving scales one-sidedly (no per-pair DONE protocol), so it
     // is the model that meaningfully reaches 1024 shards.
     let sv = ServeConfig {
-        keys: if quick { 16_384 } else { 65_536 },
-        requests: if quick { 2_048 } else { 8_192 },
+        keys: if o.quick { 16_384 } else { 65_536 },
+        requests: if o.quick { 2_048 } else { 8_192 },
         seed: 0x00C0_FFEE,
         ..ServeConfig::default()
     };
-    let det = RunOpts::det_event();
+    let det = o.run.with_sched(SchedPolicy::Det);
 
     let workloads: [(&str, &str); 3] = [
         ("nbody", "N-body / MPI"),
@@ -1889,9 +1950,9 @@ fn e1_scale(quick: bool) -> String {
     ];
     let run = |p: usize, wl: &str, opts: RunOpts| -> RunMetrics {
         match wl {
-            "nbody" => apps::run_app_opts(machine(p), App::NBody, Model::Mp, &nb, &am, opts),
-            "amr" => apps::run_app_opts(machine(p), App::Amr, Model::Mp, &nb, &am, opts),
-            "serve" => o2k_serve::run_opts(machine(p), Model::Shmem, &sv, opts),
+            "nbody" => apps::run_app_opts(o.machine(p), App::NBody, Model::Mp, &nb, &am, opts),
+            "amr" => apps::run_app_opts(o.machine(p), App::Amr, Model::Mp, &nb, &am, opts),
+            "serve" => o2k_serve::run_opts(o.machine(p), Model::Shmem, &sv, opts),
             other => unreachable!("unknown workload {other}"),
         }
     };
@@ -1932,14 +1993,11 @@ fn e1_scale(quick: bool) -> String {
     out
 }
 
-fn c1_warm_start(quick: bool) -> String {
+fn c1_warm_start(o: &ExpOpts) -> String {
     use std::time::Instant;
 
-    use apps::{RunMetrics, RunOpts};
-    use machine::{ContentionMode, FaultMode};
     use o2k_serve::{Mitigation, ServeConfig};
     use o2k_snap::{SnapPoint, SnapSpec};
-    use parallel::SchedPolicy;
 
     // C1: warm-starting a scenario sweep from a snapshot. Two prologues
     // are paid once and captured — the AMR mesh converged to its last
@@ -1949,17 +2007,16 @@ fn c1_warm_start(quick: bool) -> String {
     // re-pays the prologue in every cell; the difference is host
     // wall-clock, since a restored run replays the same virtual-time tail.
     //
-    // C1 manages its own snapshot directory, so the process-wide
-    // `--snapshot` / `--restore` spec is parked for the duration (a
-    // global restore would warm-start the from-scratch half too).
-    let parked_spec = o2k_snap::current_spec();
-    o2k_snap::set_spec(None);
+    // C1 manages its own snapshot directory and sets every run's snapshot
+    // request itself, ignoring `o.run.snap` (a run-wide restore would
+    // warm-start the from-scratch half too). It also sets every machine's
+    // fault plan and every run's policy.
 
     let p = 16;
     // Heavy on sweeps: the smoothing sweeps (and their halo exchanges) are
     // exactly the per-step cost a warm start skips, while the adaptation
     // replay it cannot skip stays cheap.
-    let am = if quick {
+    let am = if o.quick {
         AmrConfig {
             nx: 12,
             ny: 12,
@@ -1976,13 +2033,13 @@ fn c1_warm_start(quick: bool) -> String {
             ..AmrConfig::default()
         }
     };
-    let nb = nbody_cfg(quick); // unused by the AMR runs; run_app_opts wants both
-                               // The serving half keeps its Q1 shape but a short tail: a warm start
-                               // only saves the build phase, so the cells mostly measure that the
-                               // restore itself is cheap (one symmetric-heap import).
+    let nb = nbody_cfg(o.quick); // unused by the AMR runs; run_app_opts wants both
+                                 // The serving half keeps its Q1 shape but a short tail: a warm start
+                                 // only saves the build phase, so the cells mostly measure that the
+                                 // restore itself is cheap (one symmetric-heap import).
     let sv = ServeConfig {
-        keys: if quick { 16_384 } else { 32_768 },
-        requests: if quick { 1_500 } else { 6_000 },
+        keys: if o.quick { 16_384 } else { 32_768 },
+        requests: if o.quick { 1_500 } else { 6_000 },
         mean_gap_ns: 25_000,
         skew: 1.0,
         val_words: 32,
@@ -2061,8 +2118,8 @@ fn c1_warm_start(quick: bool) -> String {
     let run = |c: &Cell, snap: Option<SnapSpec>| -> RunMetrics {
         let m = mach(c.cont.1, c.fault.1);
         let opts = RunOpts {
-            sched: Some(c.policy.1),
             snap,
+            ..o.run.with_sched(c.policy.1)
         };
         match c.wl {
             "amr" => apps::run_app_opts(m, App::Amr, Model::Shmem, &nb, &am, opts),
@@ -2132,7 +2189,6 @@ fn c1_warm_start(quick: bool) -> String {
     }
     let warm_total = warm_start.elapsed();
     let _ = std::fs::remove_dir_all(&snap_dir);
-    o2k_snap::set_spec(parked_spec);
 
     // Correctness before speed. Faults, contention modes and cooperative
     // schedules move virtual time, never the physics — so every cell's
@@ -2235,7 +2291,7 @@ mod tests {
     #[test]
     fn tables_render() {
         for id in ["t1", "t2", "t3"] {
-            let out = run_experiment(id, true);
+            let out = run_experiment(id, &ExpOpts::new(true));
             assert!(out.len() > 100, "{id} too short:\n{out}");
             assert!(out.contains('\n'));
         }
@@ -2244,7 +2300,7 @@ mod tests {
     #[test]
     fn quick_figures_render() {
         for id in ["f2", "f6", "f7"] {
-            let out = run_experiment(id, true);
+            let out = run_experiment(id, &ExpOpts::new(true));
             assert!(out.len() > 100, "{id} too short");
         }
     }
@@ -2252,7 +2308,7 @@ mod tests {
     #[test]
     fn a_series_render() {
         for id in ["a1", "a2", "a3"] {
-            let out = run_experiment(id, true);
+            let out = run_experiment(id, &ExpOpts::new(true));
             assert!(out.len() > 80, "{id} too short");
         }
     }
@@ -2260,14 +2316,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown experiment")]
     fn unknown_id_panics() {
-        run_experiment("zzz", true);
+        run_experiment("zzz", &ExpOpts::new(true));
     }
 
     #[test]
     fn n1_contention_renders_and_grows() {
         // The experiment itself asserts queueing delay grows with P and
         // that off-mode runs never build a NetSim.
-        let out = run_experiment("n1", true);
+        let out = run_experiment("n1", &ExpOpts::new(true));
         assert!(out.contains("queued ms"), "missing sweep table:\n{out}");
         assert!(out.contains("hotspot anatomy"), "missing report:\n{out}");
     }
@@ -2277,7 +2333,7 @@ mod tests {
         // The experiment itself asserts CC-SAS per-PE efficiency falls
         // monotonically with node width, that MP degrades strictly less,
         // and that the top hotspots name a bus or hub resource.
-        let out = run_experiment("n3", true);
+        let out = run_experiment("n3", &ExpOpts::new(true));
         assert!(out.contains("per-PE efficiency"), "missing sweep:\n{out}");
         assert!(
             out.contains("bus") && out.contains("hub"),
@@ -2290,7 +2346,7 @@ mod tests {
         // The experiment itself asserts request conservation, cross-model
         // checksum equality per scenario, the skew hotspot, and that MP's
         // p99 degrades less than CC-SAS's under the sick fabric.
-        let out = run_experiment("q1", true);
+        let out = run_experiment("q1", &ExpOpts::new(true));
         assert!(out.contains("p99 ns"), "missing latency table:\n{out}");
         assert!(
             out.contains("Total simulated client requests"),
@@ -2313,7 +2369,7 @@ mod tests {
         // mitigation on replay the off cell bitwise (empty plan), and
         // that every MP and SHMEM mitigation beats off on skewed p99 at
         // the top of the sweep.
-        let out = run_experiment("q2", true);
+        let out = run_experiment("q2", &ExpOpts::new(true));
         assert!(out.contains("p99 ns"), "missing latency table:\n{out}");
         assert!(
             out.contains("cuts skewed p99"),
@@ -2328,7 +2384,7 @@ mod tests {
     #[test]
     fn e1_scales_on_the_event_core() {
         // The experiment itself asserts that every P does work.
-        let out = run_experiment("e1", true);
+        let out = run_experiment("e1", &ExpOpts::new(true));
         assert!(
             out.contains("schedule fingerprint"),
             "missing scaling table:\n{out}"
@@ -2346,7 +2402,7 @@ mod tests {
         // every warm cell's physics matches its from-scratch twin, that the
         // baseline cells replay the capture run bitwise, and that the
         // snapshot sweep beats from-scratch on host wall-clock.
-        let out = run_experiment("c1", true);
+        let out = run_experiment("c1", &ExpOpts::new(true));
         assert!(out.contains("18-cell sweep"), "missing sweep size:\n{out}");
         assert!(
             out.contains("from-snapshot ms"),
@@ -2363,7 +2419,7 @@ mod tests {
         // The experiment itself asserts the physics never moves, that
         // traffic detours around the cut, and that MP retains more
         // throughput than CC-SAS under the faulted fabric.
-        let out = run_experiment("n2", true);
+        let out = run_experiment("n2", &ExpOpts::new(true));
         assert!(out.contains("slow+dead"), "missing fault table:\n{out}");
         assert!(
             out.contains("throughput retained"),

@@ -7,4 +7,4 @@
 pub mod experiments;
 pub mod trajectory;
 
-pub use experiments::{run_experiment, EXPERIMENT_IDS};
+pub use experiments::{run_experiment, ExpOpts, EXPERIMENT_IDS};

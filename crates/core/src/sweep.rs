@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use apps::{run_app, AmrConfig, App, Model, NBodyConfig, RunMetrics};
+use apps::{run_app_opts, AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts};
 use machine::{Machine, MachineConfig};
 
 /// One model's results across the processor sweep.
@@ -46,13 +46,15 @@ impl SweepResult {
 }
 
 /// Run `app` under every model in `models` for each processor count in
-/// `pes`, on Origin2000-preset machines.
+/// `pes`, on machines built from `machine_cfg`, with `opts`.
 pub fn sweep_models(
     app: App,
     models: &[Model],
     pes: &[usize],
     nbody_cfg: &NBodyConfig,
     amr_cfg: &AmrConfig,
+    machine_cfg: &MachineConfig,
+    opts: &RunOpts,
 ) -> SweepResult {
     let series = models
         .iter()
@@ -61,8 +63,8 @@ pub fn sweep_models(
             runs: pes
                 .iter()
                 .map(|&p| {
-                    let machine = Arc::new(Machine::new(p, MachineConfig::origin2000()));
-                    run_app(machine, app, model, nbody_cfg, amr_cfg)
+                    let machine = Arc::new(Machine::new(p, machine_cfg.clone()));
+                    run_app_opts(machine, app, model, nbody_cfg, amr_cfg, opts.clone())
                 })
                 .collect(),
         })
@@ -86,7 +88,15 @@ mod tests {
             ..NBodyConfig::default()
         };
         let amr = AmrConfig::small();
-        let sweep = sweep_models(App::NBody, &Model::ALL, &[1, 2, 4], &nb, &amr);
+        let sweep = sweep_models(
+            App::NBody,
+            &Model::ALL,
+            &[1, 2, 4],
+            &nb,
+            &amr,
+            &MachineConfig::origin2000(),
+            &RunOpts::default(),
+        );
         assert_eq!(sweep.series.len(), 3);
         for s in &sweep.series {
             assert_eq!(s.runs.len(), 3);
@@ -102,7 +112,15 @@ mod tests {
     fn amr_sweep_runs_all_models() {
         let nb = NBodyConfig::small();
         let amr = AmrConfig::small();
-        let sweep = sweep_models(App::Amr, &Model::ALL, &[1, 2], &nb, &amr);
+        let sweep = sweep_models(
+            App::Amr,
+            &Model::ALL,
+            &[1, 2],
+            &nb,
+            &amr,
+            &MachineConfig::origin2000(),
+            &RunOpts::default(),
+        );
         // All models agree on the checksum for AMR (bitwise, see apps).
         let c: Vec<f64> = sweep.series.iter().map(|s| s.runs[1].checksum).collect();
         assert_eq!(c[0], c[1]);

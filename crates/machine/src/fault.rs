@@ -10,7 +10,6 @@
 
 use crate::time::SimTime;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// A directed link of the bristled hypercube, named without reference to a
 /// concrete machine size (resolved to a link id once the topology is known).
@@ -173,37 +172,6 @@ impl fmt::Display for FaultMode {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Process-wide default fault mode
-// ---------------------------------------------------------------------------
-
-static OVERRIDE: Mutex<Option<FaultMode>> = Mutex::new(None);
-
-fn env_fault() -> FaultMode {
-    static ENV: OnceLock<FaultMode> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("O2K_FAULT")
-            .ok()
-            .and_then(|s| FaultMode::parse(&s))
-            .unwrap_or(FaultMode::Off)
-    })
-    .clone()
-}
-
-/// The fault mode a fresh [`crate::MachineConfig`] preset carries: the last
-/// [`set_default_fault`] value, else `O2K_FAULT` from the environment, else
-/// [`FaultMode::Off`].
-pub fn default_fault() -> FaultMode {
-    let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.clone().unwrap_or_else(env_fault)
-}
-
-/// Override the process-wide default fault mode (used by the `repro`
-/// binary's `--fault` flag).
-pub fn set_default_fault(m: FaultMode) {
-    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Some(m);
 }
 
 #[cfg(test)]

@@ -114,27 +114,6 @@ pub struct Route {
     pub links: u32,
 }
 
-/// Outcome of one vectored charge ([`NetSim::try_route_many`]): the sums
-/// a scalar loop over [`NetSim::try_route`] would have accumulated, plus
-/// the evolved serialization backlog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchRoute {
-    /// Total queueing delay across the batch (ns).
-    pub delay: SimTime,
-    /// Portion of `delay` accrued at shared node buses (ns).
-    pub bus_delay: SimTime,
-    /// Portion of `delay` accrued at router hub ports (ns).
-    pub hub_delay: SimTime,
-    /// Total resources crossed, summed over the batch.
-    pub links: u64,
-    /// Items that crossed at least one resource (what the per-PE
-    /// `net_transfers` counter counts).
-    pub transfers: u64,
-    /// The serialization backlog after the batch: the input `pending`
-    /// plus every item's delay when `serialize`, unchanged otherwise.
-    pub pending: SimTime,
-}
-
 /// Per-kind aggregate statistics (buses, hubs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KindStats {
@@ -428,8 +407,8 @@ impl NetSim {
         let nlinks = 2 * nodes + rpad * dims;
         let fabric = cfg.contention == ContentionMode::Fabric;
         // Resolve the symbolic fault plan against this topology. Links the
-        // machine doesn't have (e.g. a global O2K_FAULT plan naming a high
-        // router on a small machine) are skipped.
+        // machine doesn't have (e.g. a run-wide `repro --fault` plan naming
+        // a high router on a small machine) are skipped.
         let mut faults: Vec<Vec<(SimTime, FaultKind)>> = vec![Vec::new(); nlinks];
         if let FaultMode::Plan(plan) = &cfg.fault {
             for e in &plan.events {
@@ -814,9 +793,7 @@ impl NetSim {
     }
 
     /// Walk one resolved path, waiting out and extending each resource's
-    /// busy-until queue. The innermost charge loop, shared by the scalar
-    /// [`NetSim::try_route`] and the vectored [`NetSim::try_route_many`];
-    /// the caller holds the state lock.
+    /// busy-until queue. The caller holds the state lock.
     fn charge_path(
         &self,
         st: &mut NetState,
@@ -884,63 +861,6 @@ impl NetSim {
         }
         route.links = path.len() as u32;
         route
-    }
-
-    /// Vectored [`NetSim::try_route`]: charge a whole run of transfers —
-    /// `(dst_node, bytes)` per item, all departing from `src_node` on
-    /// behalf of `pe` — under **one** state-lock acquisition.
-    ///
-    /// The arithmetic is item-for-item identical to calling `try_route` in
-    /// a loop: items are walked in order; when `serialize` is set, each
-    /// item departs at `now` plus the backlog the earlier items accrued
-    /// (the `net_pending` serialization the runtimes apply between
-    /// scheduling points), starting from `pending`. Node-local items
-    /// outside `fabric` charge nothing, exactly as the scalar early-out.
-    ///
-    /// On [`Unreachable`] the items before the failing one stay committed
-    /// — the same table state a scalar loop would leave behind when its
-    /// N-th call fails.
-    pub fn try_route_many(
-        &self,
-        pe: u32,
-        src_node: usize,
-        items: &[(usize, usize)],
-        now: SimTime,
-        serialize: bool,
-        pending: SimTime,
-    ) -> Result<BatchRoute, Unreachable> {
-        let record = self.record_spans.load(Ordering::Relaxed);
-        let mut out = BatchRoute {
-            pending,
-            ..BatchRoute::default()
-        };
-        let mut st = self.lock();
-        for &(dst_node, bytes) in items {
-            if src_node == dst_node && !self.fabric {
-                continue;
-            }
-            let depart = now + if serialize { out.pending } else { 0 };
-            let (path, detoured) = if self.any_faults {
-                self.fault_path(src_node, dst_node, depart)?
-            } else {
-                (Arc::clone(self.healthy_path(src_node, dst_node)), false)
-            };
-            if detoured {
-                st.detoured += 1;
-            }
-            let r = self.charge_path(&mut st, pe, &path, bytes, depart, record);
-            out.delay += r.delay;
-            out.bus_delay += r.bus_delay;
-            out.hub_delay += r.hub_delay;
-            if r.links > 0 {
-                out.links += u64::from(r.links);
-                out.transfers += 1;
-            }
-            if serialize {
-                out.pending += r.delay;
-            }
-        }
-        Ok(out)
     }
 
     /// Aggregate statistics so far.

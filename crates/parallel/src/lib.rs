@@ -35,14 +35,14 @@ mod element;
 mod lock;
 mod team;
 
-pub use ctx::{charge_batching, set_charge_batching, ChargeRun, Ctx};
+pub use ctx::Ctx;
 pub use element::{Element, IntElement};
 pub use lock::{SimLock, SimLockGuard};
 pub use team::{PeReport, Team, TeamResume, TeamRun};
 
 // Re-export the tracing vocabulary so model runtimes built on `Ctx` can
 // name event kinds and dependency edges without a separate dependency.
-pub use o2k_trace::{Dep, Event, EventKind};
+pub use o2k_trace::{Dep, Event, EventKind, TraceSink};
 
 // Re-export the scheduler so applications and tests can pick policies
 // (`Team::sched`) without a separate dependency.

@@ -7,6 +7,7 @@ use std::sync::{Arc, Barrier};
 use machine::{ContentionMode, Counters, Machine, SimTime, TimeBreakdown};
 use o2k_net::NetSim;
 use o2k_sched::{CoopSched, SchedPolicy, SchedStats};
+use o2k_trace::TraceSink;
 use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
@@ -173,7 +174,7 @@ pub struct TeamResume {
 pub struct Team {
     machine: Arc<Machine>,
     seed: u64,
-    trace: bool,
+    sink: Option<TraceSink>,
     sched: SchedPolicy,
 }
 
@@ -185,7 +186,7 @@ impl Team {
         Team {
             machine,
             seed: 0x5EED_0816,
-            trace: false,
+            sink: None,
             sched: o2k_sched::default_policy(),
         }
     }
@@ -205,11 +206,10 @@ impl Team {
         self
     }
 
-    /// Enable event tracing for runs of this team. Tracing is also enabled
-    /// globally via [`o2k_trace::set_enabled`], which additionally pushes
-    /// each run's trace to the process-wide sink.
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+    /// Trace every run of this team and push each finished
+    /// [`o2k_trace::Trace`] into `sink` (runs are untraced without one).
+    pub fn sink(mut self, sink: TraceSink) -> Self {
+        self.sink = Some(sink);
         self
     }
 
@@ -289,8 +289,7 @@ impl Team {
                 let _ = net.import_state_bytes(bytes);
             }
         }
-        let globally_traced = o2k_trace::enabled();
-        let trace = self.trace || globally_traced;
+        let trace = self.sink.is_some();
         if trace {
             if let Some(net) = &shared.net {
                 net.set_record_spans(true);
@@ -342,8 +341,8 @@ impl Team {
             sched: coop.map(|cs| cs.stats()),
             net: shared.net.clone(),
         };
-        if globally_traced {
-            o2k_trace::sink_push(run.trace());
+        if let Some(sink) = &self.sink {
+            sink.push(run.trace());
         }
         run
     }

@@ -290,6 +290,7 @@ impl SasWorld {
             machine: Arc::clone(&self.machine),
             cache: CacheSim::new(cfg.cache_bytes, cfg.line_bytes, cfg.cache_assoc),
             accesses: 0,
+            net_queue: Vec::new(),
         }
     }
 
@@ -540,6 +541,9 @@ pub struct SasPe {
     cache: CacheSim,
     /// Line accesses made through this window.
     accesses: u64,
+    /// Fabric destinations `(node, bytes)` of the access in flight; empty
+    /// between accesses, so never part of a snapshot.
+    net_queue: Vec<(usize, usize)>,
 }
 
 /// How one line access is classified. Every access gets exactly one
@@ -781,10 +785,11 @@ impl SasPe {
         let mut outcome = Outcome::Upgrade;
         // Everything from the sched_point above to the advances below is
         // one scheduling window: the fill, the owner forward and the whole
-        // invalidation sweep queue onto a single ChargeRun and hit the
-        // fabric in one vectored charge (in queue order, so the arithmetic
-        // is bitwise the per-access calls').
-        let mut net = ctx.charge_run();
+        // invalidation sweep queue their fabric destinations here, and are
+        // routed in queue order once the directory lock is released (a
+        // route may park this PE on a dead link). `net_pending` makes each
+        // transfer depart after the ones before it.
+        let mut net = std::mem::take(&mut self.net_queue);
 
         if !cached {
             // Fill from home (or forward from a dirty owner).
@@ -803,7 +808,7 @@ impl SasPe {
                 // Under ContentionMode::Queued the line payload also queues
                 // on the fabric links between home and requester.
                 charge_remote += fill;
-                net.to_node(home, cfg.line_bytes);
+                net.push((home, cfg.line_bytes));
                 outcome = Outcome::MissRemote;
             }
             if d.dirty && d.owner != pe as u32 {
@@ -811,7 +816,7 @@ impl SasPe {
                 let owner_node = topo.node_of(d.owner as usize % topo.pes());
                 charge_remote +=
                     u64::from(topo.hops(my_node, owner_node)) * cfg.lat_hop + cfg.lat_directory;
-                net.to_node(owner_node, cfg.line_bytes);
+                net.push((owner_node, cfg.line_bytes));
                 d.dirty = false; // home copy now clean
             }
         }
@@ -828,7 +833,7 @@ impl SasPe {
                 // ones traverse (and queue on) the same fabric links.
                 charge_remote +=
                     cfg.lat_invalidate + u64::from(topo.hops(my_node, qn)) * cfg.lat_hop;
-                net.to_node(qn, 8);
+                net.push((qn, 8));
                 invalidated += 1;
             });
             ctx.counters_mut().invalidations += u64::from(invalidated);
@@ -847,7 +852,11 @@ impl SasPe {
             .store(pack_meta(d.version, d.owner, d.dirty), Ordering::Release);
         let version = d.version;
         drop(d);
-        charge_remote += ctx.flush_charge(net);
+        for &(node, bytes) in &net {
+            charge_remote += ctx.net_delay_to_node(node, bytes);
+        }
+        net.clear();
+        self.net_queue = net;
 
         let line_bytes = cfg.line_bytes.min(u32::MAX as usize) as u32;
         if charge_local > 0 {

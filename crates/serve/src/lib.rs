@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use apps::{App, Model, RunMetrics, ServeStats};
 use machine::{Machine, SimTime, TimeCat};
-use parallel::{Ctx, EventKind, SchedPolicy, TeamRun};
+use parallel::{Ctx, EventKind, TeamRun};
 
 use clients::Request;
 use hist::LatencyHist;
@@ -235,25 +235,8 @@ pub(crate) fn serve_cost(ctx: &mut Ctx, cfg: &ServeConfig, owner: usize) {
     ctx.counters_mut().requests_served += 1;
 }
 
-/// Run the serving workload under `model` with the process-default
-/// scheduling policy.
-pub fn run(machine: Arc<Machine>, model: Model, cfg: &ServeConfig) -> RunMetrics {
-    run_sched(machine, model, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy (experiments pin
-/// [`SchedPolicy::Det`] so latency comparisons replay bitwise).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    model: Model,
-    cfg: &ServeConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, model, cfg, apps::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (scheduling policy *and* snapshot
-/// request — see [`apps::RunOpts`]).
+/// Run the serving workload under `model` and `opts`: the one dispatcher
+/// over the three models' `run` entry points.
 pub fn run_opts(
     machine: Arc<Machine>,
     model: Model,
@@ -263,9 +246,9 @@ pub fn run_opts(
     assert!(cfg.keys >= machine.pes(), "need at least one key per shard");
     assert!(cfg.val_words > 0, "values must have at least one word");
     match model {
-        Model::Mp => mp::run_opts(machine, cfg, opts),
-        Model::Shmem => shmem::run_opts(machine, cfg, opts),
-        Model::Sas => sas::run_opts(machine, cfg, opts),
+        Model::Mp => mp::run(machine, cfg, opts),
+        Model::Shmem => shmem::run(machine, cfg, opts),
+        Model::Sas => sas::run(machine, cfg, opts),
         Model::Hybrid => unimplemented!("the serving workload covers the paper's three models"),
     }
 }
@@ -330,8 +313,8 @@ mod tests {
         ))
     }
 
-    fn det() -> Option<SchedPolicy> {
-        Some(SchedPolicy::Det)
+    fn det() -> apps::RunOpts {
+        apps::RunOpts::det_event()
     }
 
     #[test]
@@ -339,7 +322,7 @@ mod tests {
         let cfg = ServeConfig::small();
         let runs: Vec<RunMetrics> = Model::ALL
             .iter()
-            .map(|&m| run_sched(queued_machine(8), m, &cfg, det()))
+            .map(|&m| run_opts(queued_machine(8), m, &cfg, det()))
             .collect();
         for m in &runs {
             let s = m.serve.as_ref().expect("serve stats present");
@@ -363,8 +346,8 @@ mod tests {
     #[test]
     fn mp_replays_bitwise_under_det() {
         let cfg = ServeConfig::small();
-        let a = run_sched(queued_machine(8), Model::Mp, &cfg, det());
-        let b = run_sched(queued_machine(8), Model::Mp, &cfg, det());
+        let a = run_opts(queued_machine(8), Model::Mp, &cfg, det());
+        let b = run_opts(queued_machine(8), Model::Mp, &cfg, det());
         assert_eq!(a.sim_time, b.sim_time);
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.counters, b.counters);
@@ -393,7 +376,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts { sched: det(), snap },
+                    apps::RunOpts { snap, ..det() },
                 )
             };
             let straight = go(None);
@@ -436,7 +419,7 @@ mod tests {
             requests: 1_500,
             ..ServeConfig::small()
         };
-        let m = run_sched(queued_machine(4), Model::Mp, &cfg, det());
+        let m = run_opts(queued_machine(4), Model::Mp, &cfg, det());
         let s = m.serve.as_ref().unwrap();
         assert_eq!(s.issued, cfg.requests);
         assert_eq!(s.issued, s.completed + s.failed, "conservation");
@@ -450,7 +433,7 @@ mod tests {
             skew: 3.0,
             ..ServeConfig::small()
         };
-        let m = run_sched(queued_machine(8), Model::Shmem, &cfg, det());
+        let m = run_opts(queued_machine(8), Model::Shmem, &cfg, det());
         let counts = m.serve.unwrap().shard_counts;
         let hot = counts[0];
         let mean = cfg.requests / counts.len() as u64;
@@ -475,7 +458,7 @@ mod tests {
             mitigation,
             ..ServeConfig::small()
         };
-        let baseline = run_sched(
+        let baseline = run_opts(
             queued_machine(8),
             Model::Mp,
             &cfg_with(Mitigation::Off),
@@ -488,7 +471,7 @@ mod tests {
                 Mitigation::Replicate { replicas: 2 },
                 Mitigation::Steal,
             ] {
-                let m = run_sched(queued_machine(8), model, &cfg_with(mitigation), det());
+                let m = run_opts(queued_machine(8), model, &cfg_with(mitigation), det());
                 let s = m.serve.as_ref().unwrap();
                 assert_eq!(s.issued, s.completed + s.failed, "{model:?} {mitigation:?}");
                 assert_eq!(m.checksum, baseline.checksum, "{model:?} {mitigation:?}");
@@ -543,7 +526,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts { sched: det(), snap },
+                    apps::RunOpts { snap, ..det() },
                 )
             };
             let straight = go(None);
@@ -599,7 +582,7 @@ mod tests {
                 seed,
                 ..ServeConfig::small()
             };
-            let m = run_sched(queued_machine(4), Model::Shmem, &cfg, det());
+            let m = run_opts(queued_machine(4), Model::Shmem, &cfg, det());
             let s = m.serve.as_ref().unwrap();
             prop_assert_eq!(s.issued, cfg.requests);
             prop_assert_eq!(s.issued, s.completed + s.failed);

@@ -56,7 +56,7 @@ const TAG_COPY: Tag = 4;
 /// Most requests a stealer claims from one victim per sweep.
 const STEAL_BATCH: usize = 8;
 
-pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
+pub fn run(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
     let snap = Snapshotter::new(&opts, App::Serve, Model::Mp, &machine, &format!("{cfg:?}"));
@@ -306,10 +306,8 @@ fn steal_sweep(ctx: &mut Ctx, world: &MpWorld, cfg: &ServeConfig, victims: &[usi
             // pull to the helper before answering from the generator.
             let bytes = cfg.val_words * 8;
             let hops = ctx.machine().hops_between(ctx.pe(), victim);
-            let mut run = ctx.charge_run();
-            ctx.charge_to_pe(&mut run, victim, bytes);
-            let pull =
-                cost::msg(&ctx.machine().config, bytes, hops).network + ctx.flush_charge(run);
+            let pull = cost::msg(&ctx.machine().config, bytes, hops).network
+                + ctx.net_delay_to_pe(victim, bytes);
             ctx.advance_traced(
                 pull,
                 TimeCat::Remote,

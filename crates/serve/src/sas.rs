@@ -28,7 +28,7 @@ use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
 use crate::{await_arrival, finish, serve_cost, ClientLog, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
-pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
+pub fn run(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = SasWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
     let mut snap = Snapshotter::new(&opts, App::Serve, Model::Sas, &machine, &format!("{cfg:?}"));

@@ -37,31 +37,17 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         for e in evs {
             out.push_str(",\n");
             // Integer-nanosecond precision in a µs field: print as x.yyy.
-            // Zero-duration events (scheduler handoffs) become
-            // thread-scoped instants, which Perfetto draws as markers.
-            if e.dur() == 0 {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{}.{:03},\"pid\":0,\"tid\":{}",
-                    e.kind.name(),
-                    cat_name(e.cat),
-                    e.t0 / 1000,
-                    e.t0 % 1000,
-                    e.pe,
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\
-                     \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":0,\"tid\":{}",
-                    e.kind.name(),
-                    cat_name(e.cat),
-                    e.t0 / 1000,
-                    e.t0 % 1000,
-                    e.dur() / 1000,
-                    e.dur() % 1000,
-                    e.pe,
-                ));
-            }
+            out.push_str(&format!(
+                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\
+                 \"ts\":{}.{:03},\"dur\":{}.{:03},\"pid\":0,\"tid\":{}",
+                e.kind.name(),
+                cat_name(e.cat),
+                e.t0 / 1000,
+                e.t0 % 1000,
+                e.dur() / 1000,
+                e.dur() % 1000,
+                e.pe,
+            ));
             out.push_str(",\"args\":{");
             out.push_str(&format!("\"bytes\":{}", e.bytes));
             if let Some(p) = e.peer {
@@ -159,9 +145,6 @@ pub fn text_timeline(trace: &Trace, width: usize) -> String {
         // Per-bucket per-category occupancy, picked by max time.
         let mut occ = vec![[0u64; 4]; width];
         for e in evs {
-            if e.t1 == e.t0 {
-                continue; // instants occupy no time
-            }
             let ci = match e.cat {
                 TimeCat::Busy => 0,
                 TimeCat::Local => 1,
@@ -306,28 +289,6 @@ mod tests {
         for needle in ["compute", "send", "recv_wait", "3 events"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
-    }
-
-    #[test]
-    fn instant_events_export_as_markers() {
-        let t = Trace::new(vec![vec![
-            ev(0, 0, 10, EventKind::Compute, TimeCat::Busy),
-            ev(0, 10, 10, EventKind::SchedHandoff, TimeCat::Sync),
-        ]]);
-        let json = to_chrome_json(&t);
-        assert!(json.contains("\"ph\":\"i\""), "{json}");
-        assert!(json.contains("\"name\":\"sched_handoff\""));
-        // The timeline must not underflow on zero-duration events, even
-        // at t = 0.
-        let t0 = Trace::new(vec![vec![ev(
-            0,
-            0,
-            0,
-            EventKind::SchedHandoff,
-            TimeCat::Sync,
-        )]]);
-        let _ = text_timeline(&t0, 10);
-        let _ = text_timeline(&t, 10);
     }
 
     #[test]

@@ -310,12 +310,7 @@ mod proptests {
                     2 => TimeCat::Remote,
                     _ => TimeCat::Sync,
                 };
-                let mut kind = EventKind::ALL[sel as usize % EventKind::ALL.len()];
-                if kind == EventKind::SchedHandoff {
-                    // Handoffs are instant markers recorded separately; a
-                    // duration-bearing span of that kind would not validate.
-                    kind = EventKind::Other;
-                }
+                let kind = EventKind::ALL[sel as usize % EventKind::ALL.len()];
                 let dep = if wait && !seqs.is_empty() {
                     Some(Dep {
                         pe: (pe as u32 + 1) % seqs.len() as u32,

@@ -22,8 +22,7 @@
 //! Recording is `Off` by default and costs one branch per charge; it
 //! never touches the clock, so enabling it cannot perturb simulated time.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use machine::{SimTime, TimeBreakdown, TimeCat};
 
@@ -71,10 +70,6 @@ pub enum EventKind {
     MissRemote,
     /// Dirty-line writeback on eviction.
     Writeback,
-    /// Cooperative-scheduler floor handoff (instant marker, `t1 == t0`):
-    /// the PE yielded here and another PE ran before it resumed. Only
-    /// recorded when [`set_sched_events`] is on.
-    SchedHandoff,
     /// One served client request of the `o2k-serve` workload: the span is
     /// the server-side service time, `bytes` the value payload, and `peer`
     /// the shard owner the lookup resolved to.
@@ -87,7 +82,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for tabulation.
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 21] = [
         EventKind::Compute,
         EventKind::Other,
         EventKind::BarrierWait,
@@ -107,7 +102,6 @@ impl EventKind {
         EventKind::MissLocal,
         EventKind::MissRemote,
         EventKind::Writeback,
-        EventKind::SchedHandoff,
         EventKind::Request,
         EventKind::Steal,
     ];
@@ -134,7 +128,6 @@ impl EventKind {
             EventKind::MissLocal => "miss_local",
             EventKind::MissRemote => "miss_remote",
             EventKind::Writeback => "writeback",
-            EventKind::SchedHandoff => "sched_handoff",
             EventKind::Request => "request",
             EventKind::Steal => "steal",
         }
@@ -180,9 +173,7 @@ pub struct Event {
     pub pe: u32,
     /// Span start (virtual ns).
     pub t0: SimTime,
-    /// Span end (virtual ns); `t1 > t0` for every recorded span. The one
-    /// exception is [`EventKind::SchedHandoff`], an instant marker with
-    /// `t1 == t0` recorded via [`Recorder::record_instant`].
+    /// Span end (virtual ns); `t1 > t0` for every recorded span.
     pub t1: SimTime,
     /// Semantic label.
     pub kind: EventKind,
@@ -256,16 +247,6 @@ impl Recorder {
                     }
                 }
             }
-            events.push(ev);
-        }
-    }
-
-    /// Record an instant marker (`t1 == t0` is kept, never coalesced).
-    /// Used for [`EventKind::SchedHandoff`] scheduler events.
-    #[inline]
-    pub fn record_instant(&mut self, ev: Event) {
-        if let Recorder::On(events) = self {
-            debug_assert!(ev.t1 == ev.t0, "instant events have no duration");
             events.push(ev);
         }
     }
@@ -382,14 +363,7 @@ impl Trace {
                 if e.pe as usize != pe {
                     return Err(format!("PE {pe} event {i} tagged pe={}", e.pe));
                 }
-                let instant = e.kind == EventKind::SchedHandoff;
-                if instant && e.t1 != e.t0 {
-                    return Err(format!(
-                        "PE {pe} event {i} sched_handoff with duration [{}, {}]",
-                        e.t0, e.t1
-                    ));
-                }
-                if !instant && e.t1 <= e.t0 {
+                if e.t1 <= e.t0 {
                     return Err(format!("PE {pe} event {i} empty span [{}, {}]", e.t0, e.t1));
                 }
                 if e.t0 < prev_end {
@@ -405,48 +379,22 @@ impl Trace {
     }
 }
 
-// --- process-global enablement and trace sink -------------------------------
-//
-// The `repro` binary flips the global flag so every `Team::run` in any
-// experiment records, and collects finished traces from the sink — no
-// per-experiment code changes needed.
+/// A shared collector of finished traces. Cloning shares the collector: a
+/// team given a sink records every run and pushes its [`Trace`] here, and
+/// whoever holds another clone drains them in completion order.
+#[derive(Debug, Clone, Default)]
+pub struct TraceSink(Arc<Mutex<Vec<Trace>>>);
 
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static SCHED_EVENTS: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
+impl TraceSink {
+    /// Deposit a finished trace.
+    pub fn push(&self, trace: Trace) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
+    }
 
-/// Enable or disable tracing process-wide (in addition to any per-`Team`
-/// opt-in). Affects teams created after the call.
-pub fn set_enabled(on: bool) {
-    GLOBAL_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether process-wide tracing is on.
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Also record [`EventKind::SchedHandoff`] instants at cooperative
-/// scheduler switches. Off by default: a deterministic CC-SAS run can
-/// switch at nearly every miss, which would dominate exported traces.
-pub fn set_sched_events(on: bool) {
-    SCHED_EVENTS.store(on, Ordering::SeqCst);
-}
-
-/// Whether scheduler handoff instants are being recorded.
-pub fn sched_events() -> bool {
-    SCHED_EVENTS.load(Ordering::SeqCst)
-}
-
-/// Deposit a finished trace for later collection (called by the team
-/// runtime when tracing was enabled globally).
-pub fn sink_push(trace: Trace) {
-    SINK.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
-}
-
-/// Take all deposited traces, in completion order.
-pub fn sink_drain() -> Vec<Trace> {
-    std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Take all deposited traces, in completion order.
+    pub fn drain(&self) -> Vec<Trace> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 #[cfg(test)]
@@ -530,43 +478,17 @@ mod tests {
 
     #[test]
     fn sink_roundtrip() {
-        sink_push(Trace::new(vec![vec![ev(
+        let sink = TraceSink::default();
+        sink.clone().push(Trace::new(vec![vec![ev(
             0,
             0,
             1,
             EventKind::Compute,
             TimeCat::Busy,
         )]]));
-        let drained = sink_drain();
+        let drained = sink.drain();
         assert!(!drained.is_empty());
-        assert!(sink_drain().is_empty());
-    }
-
-    #[test]
-    fn sched_handoff_instants_validate_and_record() {
-        let mut r = Recorder::new(true);
-        r.record(ev(0, 0, 10, EventKind::Compute, TimeCat::Busy));
-        r.record_instant(ev(0, 10, 10, EventKind::SchedHandoff, TimeCat::Sync));
-        r.record(ev(0, 10, 20, EventKind::Compute, TimeCat::Busy));
-        let evs = r.take();
-        assert_eq!(evs.len(), 3, "instant kept, computes not merged across it");
-        let t = Trace::new(vec![evs]);
-        assert!(t.validate().is_ok(), "{:?}", t.validate());
-        // Instants contribute no time.
-        assert_eq!(t.pe_breakdown(0).busy, 20);
-        assert_eq!(t.pe_breakdown(0).sync, 0);
-    }
-
-    #[test]
-    fn validate_rejects_nonzero_duration_handoff() {
-        let t = Trace::new(vec![vec![ev(
-            0,
-            0,
-            5,
-            EventKind::SchedHandoff,
-            TimeCat::Sync,
-        )]]);
-        assert!(t.validate().is_err());
+        assert!(sink.drain().is_empty());
     }
 
     #[test]

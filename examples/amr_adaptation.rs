@@ -73,7 +73,14 @@ fn main() {
     println!("\nfour-model comparison at P = 16 (incl. the hybrid extension):");
     let nb = NBodyConfig::small();
     for model in Model::WITH_HYBRID {
-        let r = run_app(Machine::origin2000(16), App::Amr, model, &nb, &cfg);
+        let r = run_app_opts(
+            Machine::origin2000(16),
+            App::Amr,
+            model,
+            &nb,
+            &cfg,
+            RunOpts::default(),
+        );
         let (b, _, rm, s) = r.breakdown().fractions();
         println!(
             "  {:<8} {:>10.2} ms   busy {:>4.1}%  remote {:>4.1}%  sync {:>4.1}%  checksum {:.6}",

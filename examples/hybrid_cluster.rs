@@ -41,7 +41,14 @@ fn main() {
         let machine = Arc::new(Machine::new(p, cfg));
         let mut times = Vec::new();
         for model in Model::WITH_HYBRID {
-            let r = run_app(Arc::clone(&machine), App::Amr, model, &nb, &amr);
+            let r = run_app_opts(
+                Arc::clone(&machine),
+                App::Amr,
+                model,
+                &nb,
+                &amr,
+                RunOpts::default(),
+            );
             let (b, _, rm, _) = r.breakdown().fractions();
             println!(
                 "{:<10} {:>12.2} {:>8.1}% {:>8.1}% {:>11} {:>9}",

@@ -21,7 +21,15 @@ fn main() {
     let pes = [1usize, 2, 4, 8, 16, 32];
 
     println!("Barnes-Hut N-body, N={n}, θ={}, {steps} steps\n", cfg.theta);
-    let sweep = sweep_models(App::NBody, &Model::ALL, &pes, &cfg, &amr);
+    let sweep = sweep_models(
+        App::NBody,
+        &Model::ALL,
+        &pes,
+        &cfg,
+        &amr,
+        &MachineConfig::origin2000(),
+        &RunOpts::default(),
+    );
 
     println!(
         "{:<4} {:>12} {:>12} {:>12}   {:>7} {:>7} {:>7}",

@@ -30,7 +30,14 @@ fn main() {
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
             let machine = Machine::origin2000(pes);
-            let r = run_app(machine, app, model, &nbody_cfg, &amr_cfg);
+            let r = run_app_opts(
+                machine,
+                app,
+                model,
+                &nbody_cfg,
+                &amr_cfg,
+                RunOpts::default(),
+            );
             let (b, l, rm, s) = r.breakdown().fractions();
             println!(
                 "{:<8} {:<8} {:>12.2} {:>8.1}% {:>8.1}% {:>8.1}% {:>8.1}%",

@@ -16,7 +16,8 @@
 //!
 //! let machine = Machine::origin2000(4);
 //! let cfg = NBodyConfig::small();
-//! let result = origin2k::apps::nbody_sas::run(machine, &cfg);
+//! let paging = origin2k::sas::PagePolicy::FirstTouch;
+//! let result = origin2k::apps::nbody_sas::run(machine, &cfg, paging, RunOpts::default());
 //! assert!(result.sim_time > 0);
 //! ```
 //!
@@ -49,7 +50,7 @@ pub use shmem;
 /// The most common imports for driving experiments.
 pub mod prelude {
     pub use apps::{
-        run_app, run_app_opts, AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts, ServeStats,
+        run_app_opts, AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts, ServeStats,
     };
     pub use machine::{Machine, MachineConfig};
     pub use o2k_core::{effort_table, sweep_models};

@@ -8,6 +8,17 @@ fn machine(p: usize) -> std::sync::Arc<Machine> {
     Machine::origin2000(p)
 }
 
+/// [`run_app_opts`] with default run options.
+fn run_model(
+    machine: std::sync::Arc<Machine>,
+    app: App,
+    model: Model,
+    nb: &NBodyConfig,
+    am: &AmrConfig,
+) -> RunMetrics {
+    run_app_opts(machine, app, model, nb, am, RunOpts::default())
+}
+
 #[test]
 fn amr_checksums_agree_bitwise_across_models_and_pes() {
     let cfg = AmrConfig::small();
@@ -15,7 +26,7 @@ fn amr_checksums_agree_bitwise_across_models_and_pes() {
     let mut checks = Vec::new();
     for model in Model::ALL {
         for p in [1, 2, 5, 8] {
-            let r = run_app(machine(p), App::Amr, model, &nb, &cfg);
+            let r = run_model(machine(p), App::Amr, model, &nb, &cfg);
             checks.push((model, p, r.checksum));
         }
     }
@@ -31,10 +42,10 @@ fn nbody_checksums_agree_within_tolerance() {
     // approximation differs slightly; agreement must still be tight.
     let cfg = NBodyConfig::small();
     let amr = AmrConfig::small();
-    let reference = run_app(machine(1), App::NBody, Model::Sas, &cfg, &amr).checksum;
+    let reference = run_model(machine(1), App::NBody, Model::Sas, &cfg, &amr).checksum;
     for model in Model::ALL {
         for p in [2, 4] {
-            let c = run_app(machine(p), App::NBody, model, &cfg, &amr).checksum;
+            let c = run_model(machine(p), App::NBody, model, &cfg, &amr).checksum;
             let rel = (c - reference).abs() / reference;
             assert!(rel < 0.02, "{model:?} P={p}: relative deviation {rel}");
         }
@@ -46,17 +57,17 @@ fn models_use_only_their_own_communication_style() {
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
-        let mp = run_app(machine(4), app, Model::Mp, &nb, &am);
+        let mp = run_model(machine(4), app, Model::Mp, &nb, &am);
         assert!(mp.counters.msgs_sent > 0);
         assert_eq!(mp.counters.puts + mp.counters.gets + mp.counters.amos, 0);
         assert_eq!(mp.counters.misses_remote, 0);
 
-        let sh = run_app(machine(4), app, Model::Shmem, &nb, &am);
+        let sh = run_model(machine(4), app, Model::Shmem, &nb, &am);
         assert!(sh.counters.puts > 0);
         assert_eq!(sh.counters.msgs_sent, 0);
         assert_eq!(sh.counters.misses_remote, 0);
 
-        let sas = run_app(machine(4), app, Model::Sas, &nb, &am);
+        let sas = run_model(machine(4), app, Model::Sas, &nb, &am);
         assert!(sas.counters.cache_hits > 0);
         assert!(sas.counters.misses_remote > 0);
         assert_eq!(sas.counters.msgs_sent, 0);
@@ -70,7 +81,7 @@ fn breakdown_accounts_for_all_time() {
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let r = run_app(machine(3), app, model, &nb, &am);
+            let r = run_model(machine(3), app, model, &nb, &am);
             for (pe, bd) in r.per_pe.iter().enumerate() {
                 assert!(
                     bd.total() <= r.sim_time,
@@ -91,8 +102,8 @@ fn deterministic_end_to_end() {
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::WITH_HYBRID {
-            let a = run_app(machine(4), app, model, &nb, &am);
-            let b = run_app(machine(4), app, model, &nb, &am);
+            let a = run_model(machine(4), app, model, &nb, &am);
+            let b = run_model(machine(4), app, model, &nb, &am);
             // Physics is always exactly reproducible.
             assert_eq!(a.checksum, b.checksum, "{app:?}/{model:?}");
             match model {
@@ -130,17 +141,17 @@ fn deterministic_end_to_end() {
 fn sas_det_pair(app: App, nb: &NBodyConfig, am: &AmrConfig) -> (RunMetrics, RunMetrics) {
     use origin2k::sas::PagePolicy;
     let go = || match app {
-        App::NBody => origin2k::apps::nbody_sas::run_with(
+        App::NBody => origin2k::apps::nbody_sas::run(
             machine(4),
             nb,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::det_event(),
         ),
-        App::Amr => origin2k::apps::amr_sas::run_with(
+        App::Amr => origin2k::apps::amr_sas::run(
             machine(4),
             am,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::det_event(),
         ),
         App::Serve => unreachable!("the serving workload has its own det tests"),
     };
@@ -157,13 +168,13 @@ fn circular_shock_workload_also_agrees_bitwise() {
         ..AmrConfig::small()
     };
     let nb = NBodyConfig::small();
-    let reference = run_app(machine(1), App::Amr, Model::Sas, &nb, &cfg).checksum;
+    let reference = run_model(machine(1), App::Amr, Model::Sas, &nb, &cfg).checksum;
     for model in Model::ALL {
-        let c = run_app(machine(4), App::Amr, model, &nb, &cfg).checksum;
+        let c = run_model(machine(4), App::Amr, model, &nb, &cfg).checksum;
         assert_eq!(c, reference, "{model:?} diverged on the circular workload");
     }
     // And it is genuinely a different workload.
-    let planar = run_app(machine(1), App::Amr, Model::Sas, &nb, &AmrConfig::small()).checksum;
+    let planar = run_model(machine(1), App::Amr, Model::Sas, &nb, &AmrConfig::small()).checksum;
     assert_ne!(reference, planar);
 }
 
@@ -195,9 +206,9 @@ mod config_space {
             };
             let nb = NBodyConfig::small();
             let reference =
-                run_app(machine(1), App::Amr, Model::Sas, &nb, &cfg).checksum;
+                run_model(machine(1), App::Amr, Model::Sas, &nb, &cfg).checksum;
             for model in [Model::Mp, Model::Shmem, Model::Hybrid] {
-                let c = run_app(machine(4), App::Amr, model, &nb, &cfg).checksum;
+                let c = run_model(machine(4), App::Amr, model, &nb, &cfg).checksum;
                 prop_assert_eq!(c, reference, "{:?} diverged on {:?}", model, (nx, ny, steps, sweeps, circular));
             }
         }

@@ -93,7 +93,7 @@ mod properties {
         /// Deterministic tie-breaking: the same Explore seed produces the
         /// same schedule fingerprint and results twice in a row.
         #[test]
-        fn same_seed_same_fingerprint_on_both_backends(
+        fn same_seed_same_fingerprint_twice(
             p in 2usize..9,
             seed in any::<u64>(),
         ) {
@@ -386,7 +386,7 @@ fn serve_p1024_mitigation_cuts_skewed_tail_under_event() {
 /// A logic deadlock (a recv no send will ever match) produces the same
 /// scheduler diagnostic on every run.
 #[test]
-fn deadlock_diagnosis_is_identical_across_backends() {
+fn deadlock_diagnosis_is_identical_across_runs() {
     let diagnose = || -> String {
         let mach = Arc::new(machine::Machine::new(
             2,
@@ -424,7 +424,7 @@ fn deadlock_diagnosis_is_identical_across_backends() {
 /// diagnosed as a *network partition* — not a logic deadlock — and the
 /// diagnostic is the same on every run.
 #[test]
-fn partition_diagnosis_is_identical_across_backends() {
+fn partition_diagnosis_is_identical_across_runs() {
     use origin2k::machine::{ContentionMode, FaultMode};
     let diagnose = || -> String {
         // 8 PEs → 4 nodes, 2 routers; killing the single r0d0 edge severs

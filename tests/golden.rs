@@ -13,17 +13,33 @@
 //!
 //! and update both this file and EXPERIMENTS.md.
 
+use origin2k::machine::FaultMode;
 use origin2k::prelude::*;
 
 fn machine(p: usize) -> std::sync::Arc<Machine> {
     Machine::origin2000(p)
 }
 
-/// Every test in this binary runs under the deterministic scheduler, so
-/// CC-SAS timings and counters are bitwise-stable (idempotent; tests run
-/// concurrently in one process).
-fn pin_det() {
-    origin2k::sched::set_default_policy(SchedPolicy::Det);
+/// Every run in this binary is passed the deterministic scheduler, so
+/// CC-SAS timings and counters are bitwise-stable.
+fn run_det(
+    machine: std::sync::Arc<Machine>,
+    app: App,
+    model: Model,
+    nb: &NBodyConfig,
+    am: &AmrConfig,
+) -> RunMetrics {
+    run_app_opts(machine, app, model, nb, am, RunOpts::det_event())
+}
+
+/// A quick-scale experiment under the deterministic scheduler.
+fn experiment(id: &str, fault: FaultMode) -> String {
+    let opts = o2k_bench::ExpOpts {
+        run: RunOpts::det_event(),
+        fault,
+        ..o2k_bench::ExpOpts::new(true)
+    };
+    o2k_bench::run_experiment(id, &opts)
 }
 
 // ------------------------------------------------------------------ T2
@@ -38,12 +54,15 @@ const T2_LOC: [(&str, &str, usize); 6] = [
     ("AMR", "SHMEM", T2_AMR_SHMEM),
     ("AMR", "CC-SAS", T2_AMR_SAS),
 ];
-const T2_NBODY_MP: usize = 141;
-const T2_NBODY_SHMEM: usize = 213;
-const T2_NBODY_SAS: usize = 163;
-const T2_AMR_MP: usize = 165;
-const T2_AMR_SHMEM: usize = 160;
-const T2_AMR_SAS: usize = 135;
+// Re-pinned when each variant's run wrappers collapsed into one `run`
+// entry point: the deleted lines were harness, not programming effort,
+// and every app keeps its model ordering.
+const T2_NBODY_MP: usize = 131;
+const T2_NBODY_SHMEM: usize = 203;
+const T2_NBODY_SAS: usize = 149;
+const T2_AMR_MP: usize = 159;
+const T2_AMR_SHMEM: usize = 154;
+const T2_AMR_SAS: usize = 121;
 
 #[test]
 fn t2_effort_line_counts_are_pinned() {
@@ -153,14 +172,13 @@ const F3_SHMEM: (u64, u64) = (1_594_400, 769_183);
 const F3_SAS: (u64, u64) = (1_365_360, 450_742);
 
 fn model_times(app: App) -> Vec<(&'static str, u64, u64)> {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     Model::ALL
         .iter()
         .map(|&m| {
-            let t1 = run_app(machine(1), app, m, &nb, &am).sim_time;
-            let t4 = run_app(machine(4), app, m, &nb, &am).sim_time;
+            let t1 = run_det(machine(1), app, m, &nb, &am).sim_time;
+            let t4 = run_det(machine(4), app, m, &nb, &am).sim_time;
             (m.name(), t1, t4)
         })
         .collect()
@@ -198,13 +216,12 @@ const F5_SHMEM_BYTES: u64 = 10_496;
 const F5_SAS_BYTES: u64 = 23_680;
 
 fn comm_volumes() -> Vec<(&'static str, u64)> {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     Model::ALL
         .iter()
         .map(|&m| {
-            let r = run_app(machine(4), App::Amr, m, &nb, &am);
+            let r = run_det(machine(4), App::Amr, m, &nb, &am);
             let bytes = match m {
                 Model::Sas => r.counters.implicit_comm_bytes(128),
                 _ => r.counters.explicit_comm_bytes(),
@@ -226,15 +243,10 @@ fn f5_amr_comm_volumes_are_pinned() {
 /// (tables include CC-SAS timings, the schedule-sensitive part).
 #[test]
 fn repro_f2_is_bitwise_identical_under_det() {
-    pin_det();
-    let a = origin2k_bench_f2();
-    let b = origin2k_bench_f2();
+    let a = experiment("f2", FaultMode::Off);
+    let b = experiment("f2", FaultMode::Off);
     assert_eq!(a, b, "repro f2 must be bitwise reproducible under det");
     assert!(a.contains("CC-SAS"), "sanity: F2 covers the SAS model");
-}
-
-fn origin2k_bench_f2() -> String {
-    o2k_bench::run_experiment("f2", true)
 }
 
 /// Same property for the fault-injection experiment: N2 threads a
@@ -244,13 +256,24 @@ fn origin2k_bench_f2() -> String {
 /// time, and N2 pins the deterministic scheduler internally).
 #[test]
 fn repro_n2_is_bitwise_identical_under_det() {
-    pin_det();
-    let a = o2k_bench::run_experiment("n2", true);
-    let b = o2k_bench::run_experiment("n2", true);
+    let a = experiment("n2", FaultMode::Off);
+    let b = experiment("n2", FaultMode::Off);
     assert_eq!(a, b, "repro n2 must be bitwise reproducible under det");
     assert!(
         a.contains("[deg8]") && a.contains("detours"),
         "sanity: N2 reports the fault annotations"
+    );
+}
+
+/// N2 sets every machine's fault plan itself, its healthy baseline
+/// included, so a run-wide fault must leave its archive unchanged.
+#[test]
+fn n2_ignores_the_run_wide_fault() {
+    let fault = FaultMode::parse("plan:r0d0:deg4").expect("valid fault spec");
+    assert_eq!(
+        experiment("n2", fault),
+        experiment("n2", FaultMode::Off),
+        "a run-wide fault leaked into N2"
     );
 }
 
@@ -261,9 +284,8 @@ fn repro_n2_is_bitwise_identical_under_det() {
 /// scheduler internally).
 #[test]
 fn repro_q1_is_bitwise_identical_under_det() {
-    pin_det();
-    let a = o2k_bench::run_experiment("q1", true);
-    let b = o2k_bench::run_experiment("q1", true);
+    let a = experiment("q1", FaultMode::Off);
+    let b = experiment("q1", FaultMode::Off);
     assert_eq!(a, b, "repro q1 must be bitwise reproducible under det");
     assert!(
         a.contains("p99 ns") && a.contains("sick"),
@@ -276,11 +298,9 @@ fn repro_q1_is_bitwise_identical_under_det() {
 /// replays bitwise under the deterministic scheduler for every model.
 #[test]
 fn serve_results_are_bitwise_reproducible_under_det() {
-    pin_det();
     let cfg = origin2k::serve::ServeConfig::small();
     for model in Model::ALL {
-        let go =
-            || origin2k::serve::run_sched(queued_machine(8), model, &cfg, Some(SchedPolicy::Det));
+        let go = || origin2k::serve::run_opts(queued_machine(8), model, &cfg, RunOpts::det_event());
         let (a, b) = (go(), go());
         assert_eq!(a.sim_time, b.sim_time, "{model:?} sim time");
         assert_eq!(a.checksum, b.checksum, "{model:?} checksum");
@@ -315,13 +335,12 @@ fn queued_machine(p: usize) -> std::sync::Arc<Machine> {
 /// network statistics, and the schedule fingerprint.
 #[test]
 fn queued_contention_is_bitwise_reproducible_under_det() {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let a = run_app(queued_machine(4), app, model, &nb, &am);
-            let b = run_app(queued_machine(4), app, model, &nb, &am);
+            let a = run_det(queued_machine(4), app, model, &nb, &am);
+            let b = run_det(queued_machine(4), app, model, &nb, &am);
             let tag = format!("{}/{}", app.name(), model.name());
             assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time must repeat");
             assert_eq!(a.counters, b.counters, "{tag}: counters must repeat");
@@ -338,13 +357,12 @@ fn queued_contention_is_bitwise_reproducible_under_det() {
 /// checksum is identical either way).
 #[test]
 fn queued_contention_only_adds_delay() {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let off = run_app(machine(4), app, model, &nb, &am);
-            let q = run_app(queued_machine(4), app, model, &nb, &am);
+            let off = run_det(machine(4), app, model, &nb, &am);
+            let q = run_det(queued_machine(4), app, model, &nb, &am);
             let tag = format!("{}/{}", app.name(), model.name());
             assert!(
                 off.net.is_none(),
@@ -384,13 +402,12 @@ fn fabric_machine(p: usize) -> std::sync::Arc<Machine> {
 /// bus/hub queueing counters), per-resource statistics, fingerprints.
 #[test]
 fn fabric_contention_is_bitwise_reproducible_under_det() {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let a = run_app(fabric_machine(4), app, model, &nb, &am);
-            let b = run_app(fabric_machine(4), app, model, &nb, &am);
+            let a = run_det(fabric_machine(4), app, model, &nb, &am);
+            let b = run_det(fabric_machine(4), app, model, &nb, &am);
             let tag = format!("{}/{}", app.name(), model.name());
             assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time must repeat");
             assert_eq!(a.counters, b.counters, "{tag}: counters must repeat");
@@ -408,13 +425,12 @@ fn fabric_contention_is_bitwise_reproducible_under_det() {
 /// and — like every contention mode — never moves the physics.
 #[test]
 fn fabric_contention_only_adds_delay() {
-    pin_det();
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let off = run_app(machine(4), app, model, &nb, &am);
-            let f = run_app(fabric_machine(4), app, model, &nb, &am);
+            let off = run_det(machine(4), app, model, &nb, &am);
+            let f = run_det(fabric_machine(4), app, model, &nb, &am);
             let tag = format!("{}/{}", app.name(), model.name());
             assert!(
                 f.sim_time >= off.sim_time,
@@ -437,7 +453,6 @@ fn fabric_contention_only_adds_delay() {
 #[test]
 #[ignore]
 fn print_current_goldens() {
-    pin_det();
     println!("== T2 ==");
     for r in origin2k::core::effort_table() {
         println!("{} / {}: {}", r.app.name(), r.model.name(), r.loc);

@@ -11,11 +11,22 @@ fn machine(pes: usize, cfg: MachineConfig) -> Arc<Machine> {
     Arc::new(Machine::new(pes, cfg))
 }
 
+/// [`run_app_opts`] with default run options.
+fn run_model(
+    machine: Arc<Machine>,
+    app: App,
+    model: Model,
+    nb: &NBodyConfig,
+    am: &AmrConfig,
+) -> RunMetrics {
+    run_app_opts(machine, app, model, nb, am, RunOpts::default())
+}
+
 #[test]
 fn hybrid_amr_matches_every_pure_model_bitwise() {
     let am = AmrConfig::small();
     let nb = NBodyConfig::small();
-    let reference = run_app(
+    let reference = run_model(
         machine(1, MachineConfig::origin2000()),
         App::Amr,
         Model::Sas,
@@ -24,7 +35,7 @@ fn hybrid_amr_matches_every_pure_model_bitwise() {
     )
     .checksum;
     for p in [2, 4, 8] {
-        let c = run_app(
+        let c = run_model(
             machine(p, MachineConfig::origin2000()),
             App::Amr,
             Model::Hybrid,
@@ -40,7 +51,7 @@ fn hybrid_amr_matches_every_pure_model_bitwise() {
 fn hybrid_nbody_physics_within_tolerance() {
     let am = AmrConfig::small();
     let nb = NBodyConfig::small();
-    let reference = run_app(
+    let reference = run_model(
         machine(1, MachineConfig::origin2000()),
         App::NBody,
         Model::Sas,
@@ -49,7 +60,7 @@ fn hybrid_nbody_physics_within_tolerance() {
     )
     .checksum;
     for p in [2, 4, 8] {
-        let c = run_app(
+        let c = run_model(
             machine(p, MachineConfig::origin2000()),
             App::NBody,
             Model::Hybrid,
@@ -73,7 +84,7 @@ fn hybrid_discipline_no_cross_node_coherence() {
             MachineConfig::origin2000(),
             MachineConfig::cluster_of_smps(),
         ] {
-            let r = run_app(machine(8, cfg), app, Model::Hybrid, &nb, &am);
+            let r = run_model(machine(8, cfg), app, Model::Hybrid, &nb, &am);
             assert_eq!(
                 r.counters.misses_remote, 0,
                 "{app:?}: hybrid must have zero remote misses"
@@ -101,9 +112,9 @@ fn hybrid_beats_pure_fine_grained_models_on_the_cluster() {
     };
     let nb = NBodyConfig::small();
     let cfg = MachineConfig::cluster_of_smps();
-    let hy = run_app(machine(16, cfg.clone()), App::Amr, Model::Hybrid, &nb, &am).sim_time;
-    let sas = run_app(machine(16, cfg.clone()), App::Amr, Model::Sas, &nb, &am).sim_time;
-    let sh = run_app(machine(16, cfg), App::Amr, Model::Shmem, &nb, &am).sim_time;
+    let hy = run_model(machine(16, cfg.clone()), App::Amr, Model::Hybrid, &nb, &am).sim_time;
+    let sas = run_model(machine(16, cfg.clone()), App::Amr, Model::Sas, &nb, &am).sim_time;
+    let sh = run_model(machine(16, cfg), App::Amr, Model::Shmem, &nb, &am).sim_time;
     assert!(
         hy < sas,
         "hybrid ({hy}) must beat pure SAS ({sas}) on the cluster"
@@ -119,14 +130,14 @@ fn hybrid_uses_far_fewer_messages_than_mp() {
     let am = AmrConfig::small();
     let nb = NBodyConfig::small();
     for app in [App::NBody, App::Amr] {
-        let hy = run_app(
+        let hy = run_model(
             machine(8, MachineConfig::origin2000()),
             app,
             Model::Hybrid,
             &nb,
             &am,
         );
-        let mp = run_app(
+        let mp = run_model(
             machine(8, MachineConfig::origin2000()),
             app,
             Model::Mp,
@@ -157,9 +168,9 @@ fn hybrid_stays_competitive_on_the_origin2000() {
     };
     let nb = NBodyConfig::small();
     let m = machine(16, MachineConfig::origin2000());
-    let hy = run_app(Arc::clone(&m), App::Amr, Model::Hybrid, &nb, &am);
-    let sas = run_app(Arc::clone(&m), App::Amr, Model::Sas, &nb, &am);
-    let mp = run_app(m, App::Amr, Model::Mp, &nb, &am);
+    let hy = run_model(Arc::clone(&m), App::Amr, Model::Hybrid, &nb, &am);
+    let sas = run_model(Arc::clone(&m), App::Amr, Model::Sas, &nb, &am);
+    let mp = run_model(m, App::Amr, Model::Mp, &nb, &am);
     assert!(
         hy.sim_time < mp.sim_time,
         "hybrid ({}) must beat pure MPI ({}) on ccNUMA",

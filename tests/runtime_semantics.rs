@@ -105,7 +105,7 @@ fn virtual_time_is_monotone_through_mixed_operations() {
 fn experiment_suite_runs_quick() {
     // Smoke the full reproduction path end to end (quick sizes).
     for id in ["t1", "t2", "f6", "a3"] {
-        let out = o2k_bench::run_experiment(id, true);
+        let out = o2k_bench::run_experiment(id, &o2k_bench::ExpOpts::new(true));
         assert!(out.len() > 80, "{id} produced no content");
     }
 }

@@ -2,7 +2,14 @@
 //! reports must hold in the reproduction (see DESIGN.md §3, "Expected
 //! shapes").
 
+use origin2k::core::SweepResult;
 use origin2k::prelude::*;
+
+/// Every model at each P in `pes`, on the Origin2000 preset.
+fn sweep(app: App, pes: &[usize], nb: &NBodyConfig, am: &AmrConfig) -> SweepResult {
+    let cfg = MachineConfig::origin2000();
+    sweep_models(app, &Model::ALL, pes, nb, am, &cfg, &RunOpts::default())
+}
 
 #[test]
 fn every_model_speeds_up_to_moderate_pe_counts() {
@@ -19,7 +26,7 @@ fn every_model_speeds_up_to_moderate_pe_counts() {
         ..AmrConfig::default()
     };
     for app in [App::NBody, App::Amr] {
-        let sweep = sweep_models(app, &Model::ALL, &[1, 4, 8], &nb, &am);
+        let sweep = sweep(app, &[1, 4, 8], &nb, &am);
         for s in &sweep.series {
             let sp = s.speedups();
             assert!(
@@ -50,7 +57,7 @@ fn sas_wins_amr_at_scale_and_mpi_lags() {
         sweeps: 4,
         ..AmrConfig::default()
     };
-    let sweep = sweep_models(App::Amr, &Model::ALL, &[16], &nb, &am);
+    let sweep = sweep(App::Amr, &[16], &nb, &am);
     let t = |m: Model| sweep.series_for(m).runs[0].sim_time;
     assert!(
         t(Model::Sas) < t(Model::Shmem),
@@ -76,7 +83,7 @@ fn nbody_models_are_comparable_at_moderate_scale() {
         ..NBodyConfig::default()
     };
     let am = AmrConfig::small();
-    let sweep = sweep_models(App::NBody, &Model::ALL, &[8], &nb, &am);
+    let sweep = sweep(App::NBody, &[8], &nb, &am);
     let times: Vec<u64> = sweep.series.iter().map(|s| s.runs[0].sim_time).collect();
     let max = *times.iter().max().unwrap() as f64;
     let min = *times.iter().min().unwrap() as f64;
@@ -97,7 +104,14 @@ fn mpi_remote_fraction_grows_faster_than_sas_on_amr() {
         ..AmrConfig::default()
     };
     let frac = |model: Model, p: usize| {
-        let r = run_app(Machine::origin2000(p), App::Amr, model, &nb, &am);
+        let r = run_app_opts(
+            Machine::origin2000(p),
+            App::Amr,
+            model,
+            &nb,
+            &am,
+            RunOpts::default(),
+        );
         let (_, _, remote, sync) = r.breakdown().fractions();
         remote + sync
     };
@@ -115,7 +129,14 @@ fn serial_runs_have_negligible_communication() {
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let r = run_app(Machine::origin2000(1), app, model, &nb, &am);
+            let r = run_app_opts(
+                Machine::origin2000(1),
+                app,
+                model,
+                &nb,
+                &am,
+                RunOpts::default(),
+            );
             let (busy, _, _, _) = r.breakdown().fractions();
             assert!(
                 busy > 0.85,

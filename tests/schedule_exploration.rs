@@ -50,11 +50,11 @@ fn amr_step_cfg() -> AmrConfig {
 fn amr_sas_step_invariant_over_100_explored_schedules() {
     let cfg = amr_step_cfg();
     let run = |policy| {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(policy),
+            RunOpts::default().with_sched(policy),
         )
     };
     let reference = run(SchedPolicy::Det);
@@ -81,11 +81,11 @@ fn amr_sas_step_invariant_over_100_explored_schedules() {
 fn explored_schedules_replay_bitwise() {
     let cfg = amr_step_cfg();
     let run = || {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Explore { seed: 42 }),
+            RunOpts::default().with_sched(SchedPolicy::Explore { seed: 42 }),
         )
     };
     let (a, b) = (run(), run());
@@ -298,7 +298,12 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
         ))
     };
     let run = |policy| {
-        origin2k::apps::amr_sas::run_with(qm(), &cfg, PagePolicy::FirstTouch, Some(policy))
+        origin2k::apps::amr_sas::run(
+            qm(),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::default().with_sched(policy),
+        )
     };
     let reference = run(SchedPolicy::Det);
     let again = run(SchedPolicy::Det);
@@ -326,87 +331,24 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
     }
 }
 
-/// The `ChargeRun` engine must be *bitwise invisible*: coalescing a
-/// coherence window's charges into one vectored `try_route_many` walk may
-/// only change wall-clock cost, never a pick, a counter, a delay, or a
-/// byte of physics. Sweep team size × policy on a
-/// contended machine (where the fabric queues actually move) and compare
-/// a batched run against the scalar per-charge reference path.
-mod charge_batching_properties {
-    use super::*;
-    use origin2k::machine::ContentionMode;
-    use origin2k::parallel::set_charge_batching;
-    use proptest::prelude::*;
-
-    fn queued(p: usize) -> Arc<Machine> {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                contention: ContentionMode::Queued,
-                ..MachineConfig::origin2000()
-            },
-        ))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-
-        #[test]
-        fn batched_charging_is_bitwise_invisible(
-            p_idx in 0usize..3,
-            use_det in 0usize..2,
-            seed in 0u64..8,
-        ) {
-            let p = [2usize, 4, 8][p_idx];
-            let policy = if use_det == 1 {
-                SchedPolicy::Det
-            } else {
-                SchedPolicy::Explore { seed }
-            };
-            let cfg = super::amr_step_cfg();
-            let run = |batched: bool| {
-                set_charge_batching(batched);
-                let r = run_app_opts(
-                    queued(p),
-                    App::Amr,
-                    Model::Sas,
-                    &NBodyConfig::small(),
-                    &cfg,
-                    RunOpts::with_sched(Some(policy)),
-                );
-                set_charge_batching(true);
-                r
-            };
-            let a = run(true);
-            let b = run(false);
-            let tag = format!("P={p} {policy}");
-            assert_eq!(a.checksum.to_bits(), b.checksum.to_bits(), "{tag}: checksum");
-            assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time");
-            assert_eq!(a.counters, b.counters, "{tag}: counters");
-            assert_eq!(a.net, b.net, "{tag}: NetStats");
-            assert_eq!(a.sched, b.sched, "{tag}: schedule fingerprint");
-        }
-    }
-}
-
 /// Bounded-preemption schedules: mostly-deterministic with a seeded budget
 /// of preemptions — still invariant-preserving, still reproducible.
 #[test]
 fn bounded_preemption_preserves_invariants() {
     let cfg = amr_step_cfg();
     let run = |seed, budget| {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::BoundedPreempt { seed, budget }),
+            RunOpts::default().with_sched(SchedPolicy::BoundedPreempt { seed, budget }),
         )
     };
-    let det = origin2k::apps::amr_sas::run_with(
+    let det = origin2k::apps::amr_sas::run(
         Machine::origin2000(4),
         &cfg,
         PagePolicy::FirstTouch,
-        Some(SchedPolicy::Det),
+        RunOpts::det_event(),
     );
     for seed in 0..8u64 {
         let r = run(seed, 32);

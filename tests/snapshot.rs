@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use origin2k::machine::ContentionMode;
+use origin2k::net::{NetSim, Route};
 use origin2k::prelude::*;
 use origin2k::snap::{SnapPoint, SnapSpec};
 
@@ -49,8 +50,8 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn det(snap: Option<SnapSpec>) -> RunOpts {
     RunOpts {
-        sched: Some(SchedPolicy::Det),
         snap,
+        ..RunOpts::det_event()
     }
 }
 
@@ -124,7 +125,7 @@ fn round_trip(
 /// The acceptance matrix: one workload per model, restored at a mid-run
 /// step barrier on the event core, with the contention model on.
 #[test]
-fn mid_run_restore_replays_the_tail_bitwise_per_model_and_backend() {
+fn mid_run_restore_replays_the_tail_bitwise_per_model() {
     let cases = [
         (App::Amr, Model::Mp),
         (App::NBody, Model::Shmem),
@@ -136,16 +137,36 @@ fn mid_run_restore_replays_the_tail_bitwise_per_model_and_backend() {
     }
 }
 
+/// Route `items` from `src` back to back, each departing after the
+/// queueing delay the earlier ones accrued: how a runtime charges a
+/// coherence window (fill plus invalidation sweep).
+fn route_serialised(
+    net: &NetSim,
+    pe: u32,
+    src: usize,
+    items: &[(usize, usize)],
+    t: u64,
+) -> Vec<Route> {
+    let mut pending = 0;
+    items
+        .iter()
+        .map(|&(dst, bytes)| {
+            let r = net.route(pe, src, dst, bytes, t + pending);
+            pending += r.delay;
+            r
+        })
+        .collect()
+}
+
 /// The fabric's structure-of-arrays resource table must round-trip
-/// through the snapshot codec exactly: drive mid-run traffic (scalar
-/// routes, a vectored charge run, a phase boundary), export, import into
-/// a fresh fabric, and the restored table must re-export byte-identical
-/// and answer every read-side query (stats, hotspots, per-phase reports)
-/// identically.
+/// through the snapshot codec exactly: drive mid-run traffic (single
+/// routes, serialised coherence windows, a phase boundary), export,
+/// import into a fresh fabric, and the restored table must re-export
+/// byte-identical and answer every read-side query (stats, hotspots,
+/// per-phase reports) identically.
 #[test]
 fn soa_fabric_state_round_trips_bitwise_mid_run() {
     use origin2k::machine::Topology;
-    use origin2k::parallel::NetSim;
     let topo = Topology::new(16, 2);
     let cfg = MachineConfig::origin2000();
     let net = NetSim::new(&topo, &cfg);
@@ -161,10 +182,9 @@ fn soa_fabric_state_round_trips_bitwise_mid_run() {
     for i in 0..100usize {
         t += 40;
         let src = i % 8;
-        // A fill + invalidation-sweep shaped vectored charge.
+        // A fill + invalidation-sweep shaped coherence window.
         let items: Vec<(usize, usize)> = (1..5).map(|d| ((src + d) % 8, 64)).collect();
-        net.try_route_many((src * 2) as u32, src, &items, t, true, 0)
-            .expect("healthy fabric");
+        route_serialised(&net, (src * 2) as u32, src, &items, t);
     }
     let bytes = net.export_state_bytes();
     let fresh = NetSim::new(&topo, &cfg);
@@ -179,10 +199,10 @@ fn soa_fabric_state_round_trips_bitwise_mid_run() {
     assert_eq!(fresh.stats(), net.stats(), "restored NetStats");
     assert_eq!(fresh.hotspots(8), net.hotspots(8), "restored hotspot rows");
     // And the restored fabric keeps evolving identically: one more
-    // vectored charge on each must agree delay-for-delay.
+    // coherence window on each must agree delay-for-delay.
     let items = [(5usize, 128usize), (6, 128), (7, 128)];
-    let a = net.try_route_many(2, 1, &items, t + 40, true, 0).unwrap();
-    let b = fresh.try_route_many(2, 1, &items, t + 40, true, 0).unwrap();
+    let a = route_serialised(&net, 2, 1, &items, t + 40);
+    let b = route_serialised(&fresh, 2, 1, &items, t + 40);
     assert_eq!(a, b, "post-restore charging must continue bitwise");
 }
 

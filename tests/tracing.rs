@@ -2,17 +2,11 @@
 //! clock's time accounting exactly, tracing never perturbs simulated
 //! results, and the F9 experiment archives Perfetto-loadable traces.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use apps::{AmrConfig, App, Model, NBodyConfig};
+use apps::{AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts};
 use machine::{Machine, MachineConfig};
-
-/// The tracing flag and sink are process-global; tests that toggle them
-/// must not interleave.
-fn global_trace_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
+use o2k_trace::TraceSink;
 
 fn machine(p: usize) -> Arc<Machine> {
     Arc::new(Machine::new(p, MachineConfig::origin2000()))
@@ -30,15 +24,22 @@ fn nbody_cfg() -> NBodyConfig {
     }
 }
 
+/// Run `app` under `model`, traced into a sink of its own when `traced`.
+fn run(machine: Arc<Machine>, app: App, model: Model, traced: bool) -> RunMetrics {
+    let opts = RunOpts {
+        trace: traced.then(TraceSink::default),
+        ..RunOpts::default()
+    };
+    apps::run_app_opts(machine, app, model, &nbody_cfg(), &amr_cfg(), opts)
+}
+
 /// Per-PE event spans must sum, per category, to exactly the clock's own
 /// breakdown: every nanosecond the runtimes charge is captured by exactly
 /// one recorded event.
 #[test]
 fn trace_conserves_clock_breakdown() {
-    let _g = global_trace_lock().lock().unwrap();
-    o2k_trace::set_enabled(true);
     for model in Model::WITH_HYBRID {
-        let r = apps::run_app(machine(4), App::Amr, model, &nbody_cfg(), &amr_cfg());
+        let r = run(machine(4), App::Amr, model, true);
         let trace = r
             .trace
             .as_ref()
@@ -66,8 +67,6 @@ fn trace_conserves_clock_breakdown() {
             );
         }
     }
-    o2k_trace::set_enabled(false);
-    let _ = o2k_trace::sink_drain();
 }
 
 /// Tracing must be a pure observer: enabling it cannot change any
@@ -82,14 +81,10 @@ fn trace_conserves_clock_breakdown() {
 /// does guarantee: identical physics and conserved access totals.
 #[test]
 fn tracing_does_not_perturb_results() {
-    let _g = global_trace_lock().lock().unwrap();
-    let run = |app, model| apps::run_app(machine(4), app, model, &nbody_cfg(), &amr_cfg());
     for app in [App::Amr, App::NBody] {
         for model in [Model::Mp, Model::Shmem] {
-            let base = run(app, model);
-            o2k_trace::set_enabled(true);
-            let traced = run(app, model);
-            o2k_trace::set_enabled(false);
+            let base = run(machine(4), app, model, false);
+            let traced = run(machine(4), app, model, true);
             assert_eq!(
                 (base.sim_time, base.checksum.to_bits(), &base.counters),
                 (traced.sim_time, traced.checksum.to_bits(), &traced.counters),
@@ -99,10 +94,8 @@ fn tracing_does_not_perturb_results() {
             );
             assert!(base.trace.is_none() && traced.trace.is_some());
         }
-        let base = run(app, Model::Sas);
-        o2k_trace::set_enabled(true);
-        let traced = run(app, Model::Sas);
-        o2k_trace::set_enabled(false);
+        let base = run(machine(4), app, Model::Sas, false);
+        let traced = run(machine(4), app, Model::Sas, true);
         let (b, t) = (&base.counters, &traced.counters);
         assert_eq!(base.checksum.to_bits(), traced.checksum.to_bits());
         // Each access is exactly one of hit | upgrade | local miss | remote
@@ -115,15 +108,15 @@ fn tracing_does_not_perturb_results() {
         );
         assert_eq!((b.barriers, b.lock_acquires), (t.barriers, t.lock_acquires));
     }
-    let _ = o2k_trace::sink_drain();
 }
 
-/// A team-level trace request works without the global flag and captures
-/// the wait structure of an unbalanced barrier.
+/// A team-level trace request captures the wait structure of an
+/// unbalanced barrier, and pushes the run's trace into the team's sink.
 #[test]
 fn team_level_tracing_captures_barrier_waits() {
     use parallel::{EventKind, Team};
-    let run = Team::new(machine(4)).trace(true).run(|ctx| {
+    let sink = TraceSink::default();
+    let run = Team::new(machine(4)).sink(sink.clone()).run(|ctx| {
         ctx.compute(1_000 * (ctx.pe() as u64 + 1));
         ctx.barrier();
         ctx.now()
@@ -145,6 +138,8 @@ fn team_level_tracing_captures_barrier_waits() {
     let stats = o2k_trace::critpath::critical_path(&trace);
     assert_eq!(stats.total, run.sim_time());
     assert_eq!(stats.attributed() + stats.untracked, stats.total);
+    assert_eq!(sink.drain(), vec![trace], "the sink holds the run's trace");
+    assert!(sink.drain().is_empty(), "draining empties the sink");
 }
 
 /// Under the resource fabric, the Perfetto "interconnect" process grows
@@ -153,8 +148,6 @@ fn team_level_tracing_captures_barrier_waits() {
 /// `NetSim` resource names through `Team::trace` to the JSON.
 #[test]
 fn fabric_trace_exports_bus_and_hub_tracks() {
-    let _g = global_trace_lock().lock().unwrap();
-    o2k_trace::set_enabled(true);
     let fabric = Arc::new(Machine::new(
         4,
         MachineConfig {
@@ -162,27 +155,26 @@ fn fabric_trace_exports_bus_and_hub_tracks() {
             ..MachineConfig::origin2000()
         },
     ));
-    let r = apps::run_app(fabric, App::Amr, Model::Sas, &nbody_cfg(), &amr_cfg());
-    o2k_trace::set_enabled(false);
+    let r = run(fabric, App::Amr, Model::Sas, true);
     let trace = r.trace.as_ref().expect("trace collected");
     let json = o2k_trace::chrome::to_chrome_json(trace);
     assert!(json.contains("\"name\":\"interconnect\""));
     for needle in ["bus:node", "hub:rtr", "node0→rtr0"] {
         assert!(json.contains(needle), "missing {needle} track");
     }
-    let _ = o2k_trace::sink_drain();
 }
 
 /// `repro f9 --quick` (driven through the library) archives one
 /// Perfetto-loadable trace per app/model cell.
 #[test]
 fn f9_archives_perfetto_traces() {
-    let _g = global_trace_lock().lock().unwrap();
-    let dir = std::env::temp_dir().join("o2k_f9_test");
+    let dir = std::env::temp_dir().join(format!("o2k_f9_test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("O2K_RESULTS_DIR", &dir);
-    let out = o2k_bench::run_experiment("f9", true);
-    std::env::remove_var("O2K_RESULTS_DIR");
+    let opts = o2k_bench::ExpOpts {
+        results_dir: dir.clone(),
+        ..o2k_bench::ExpOpts::new(true)
+    };
+    let out = o2k_bench::run_experiment("f9", &opts);
     assert!(out.contains("critical path:"), "f9 output:\n{out}");
     assert!(
         out.contains("per adaptation step"),
